@@ -1,4 +1,4 @@
-// Multi-seed fleet sweep driver (also the CI fleet-determinism gate): run the
+// Multi-seed fleet sweep (also the fleet entry of the CI determinism gate): run the
 // recorded smoke scenario across several defense postures × seeds on the
 // fleet runner, write every run's artifacts plus the aggregate CSV to a
 // directory, and print the cross-seed table.
@@ -181,7 +181,7 @@ int main(int argc, char** argv) {
 
   // Any job that throws (simulation bug, corrupt resume residue the audit
   // missed, filesystem trouble) must fail the whole sweep loudly: CI treats
-  // this binary's exit code as the fleet-determinism gate.
+  // this binary's exit code as the fleet determinism gate.
   scenario::FleetReport report;
   try {
     report = scenario::run_fleet(scenario::cross_jobs(variants, seeds), run_one, options);

@@ -54,9 +54,9 @@ scenario::RecordedScenarioConfig smoke_config(std::uint64_t seed) {
       "hold-per-ip", web::Endpoint::HoldReservation, mitigate::RateKey::ByIp, 30, sim::kHour});
   config.checkpoint_every = sim::hours(3);
   // FRAUDSIM_GRAPH=1 switches on the incremental entity graph (admit-path
-  // tap + component detector + component_id weblog column), so the CI
-  // graph-determinism job reuses this driver unchanged. Default off keeps
-  // the historical artifacts byte-identical.
+  // tap + component detector + component_id weblog column), so the graph
+  // entries of the CI determinism job reuse this program unchanged. Default
+  // off keeps the historical artifacts byte-identical.
   if (const char* flag = std::getenv("FRAUDSIM_GRAPH");
       flag != nullptr && flag[0] != '\0' && flag[0] != '0') {
     config.graph.enabled = true;

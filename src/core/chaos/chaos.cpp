@@ -94,8 +94,8 @@ ChaosGeneratorConfig default_generator_config(sim::SimTime horizon) {
   ChaosGeneratorConfig config;
   config.horizon = horizon;
   // Every error-guarded dependency the platform registers today.
-  // "detect.batch.run" demotes detection runs to the scalar adapter path —
-  // an execution-mode fault with byte-identical verdicts by contract.
+  // "detect.batch.run" demotes detection runs to the base-class scalar
+  // adapter — a fault with byte-identical verdicts by contract.
   // "graph.ingest" drops events at the entity graph's admit-path tap — the
   // graph invariants must hold (and replay stay clean) through the outage.
   // "shard.exchange" injects transient barrier-exchange failures into the

@@ -80,8 +80,9 @@ class Detector {
   // `evaluate` over the views, so an existing scalar detector works
   // unmodified; hot families override it with a vectorized pass that shares
   // work across epochs. Contract: alert bytes and order must be identical to
-  // the adapter's (evaluate on views[0], then views[1], ...) — the pipeline's
-  // scalar mode IS the adapter, and the two modes are diffed byte-for-byte.
+  // the adapter's (evaluate on views[0], then views[1], ...). The adapter is
+  // also the pipeline's fallback when the "detect.batch.run" fault point
+  // fires, and tests diff an override against it byte-for-byte.
   // `scores.size()` must equal `views.size()`.
   virtual void score_batch(std::span<const RequestView> views, std::span<BatchScore> scores,
                            AlertSink& alerts);

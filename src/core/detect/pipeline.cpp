@@ -53,14 +53,6 @@ class FunctionDetector final : public Detector {
   BatchFn batch_;
 };
 
-// FRAUDSIM_DETECT_BATCH=0 flips a freshly constructed pipeline onto the
-// scalar adapter path (the byte-identity reference in CI); anything else —
-// including unset — keeps batching on.
-bool env_batch_default() {
-  const char* env = std::getenv("FRAUDSIM_DETECT_BATCH");
-  return env == nullptr || env[0] == '\0' || env[0] != '0';
-}
-
 }  // namespace
 
 const DetectorReport* PipelineResult::report_for(const std::string& detector) const {
@@ -78,7 +70,7 @@ bool PipelineResult::skipped_family(const std::string& family) const {
 }
 
 DetectionPipeline::DetectionPipeline(PipelineConfig config)
-    : config_(config), nip_(config.nip), batch_mode_(env_batch_default()) {}
+    : config_(config), nip_(config.nip) {}
 
 PipelineView DetectionPipeline::view() const {
   return PipelineView(obs_ != nullptr ? &obs_->metrics : nullptr);
@@ -401,10 +393,9 @@ PipelineResult DetectionPipeline::run(const app::Application& application,
       brownout_ != nullptr && brownout_->enabled() ? brownout_->detector_stride() : 1;
 
   // Epoch partition. The default (batch_epoch == 0) is ONE epoch spanning the
-  // whole window — verdicts identical to the pre-batching pipeline. An opt-in
-  // positive batch_epoch slices the window into at most max_batch_epochs
-  // views; BOTH execution modes iterate the identical partition, so batched
-  // vs scalar stays a pure execution difference.
+  // whole window. An opt-in positive batch_epoch slices the window into at
+  // most max_batch_epochs views; the batched path and the scalar fallback
+  // iterate the identical partition, so the two differ only in execution.
   struct Epoch {
     sim::SimTime from = 0;
     sim::SimTime to = 0;
@@ -483,14 +474,11 @@ PipelineResult DetectionPipeline::run(const app::Application& application,
     if (views.size() > 1) trace.annotate("epochs", std::to_string(views.size()));
   }
 
-  // The "detect.batch.run" fault point demotes a run to the scalar adapter
-  // path (verdicts unchanged — that IS the reference implementation). It is
-  // consulted exactly once per run in BOTH modes so injected fault schedules
-  // consume hit-state identically, and the fallback counter ticks in both
-  // modes so metric exports diff clean across FRAUDSIM_DETECT_BATCH settings.
+  // The "detect.batch.run" fault point demotes a run to the base-class
+  // scalar adapter (verdicts unchanged — that IS the reference
+  // implementation). It is consulted exactly once per run.
   const bool batch_fault =
       fault::FaultRegistry::global().point("detect.batch.run").should_fail(to);
-  const bool use_batch = batch_mode_ && !batch_fault;
   const BatchHandles& batch = batch_handles();
   batch.runs.inc();
   batch.epochs.inc(views.size());
@@ -534,11 +522,11 @@ PipelineResult DetectionPipeline::run(const app::Application& application,
     std::vector<BatchScore> scores(views.size());
     try {
       const obs::ScopedTimer timer(obs::Profiler::instance().phase(handles.profile_phase));
-      if (use_batch) {
-        det->score_batch(views, scores, result.alerts);
-      } else {
+      if (batch_fault) {
         // Scalar reference: the base-class adapter, bypassing any override.
         det->Detector::score_batch(views, scores, result.alerts);
+      } else {
+        det->score_batch(views, scores, result.alerts);
       }
       analysis_now += cost;
     } catch (const std::exception& e) {

@@ -6,8 +6,22 @@
 
 namespace fraudsim::mitigate {
 
-RuleEngine::RuleEngine(const sim::Simulation& sim, AllocationMode mode)
-    : sim_(sim), mode_(mode) {}
+namespace {
+
+// Reads one enum byte into `out`. A byte past `last` fails the reader; a
+// failed read leaves `out` unchanged.
+template <typename Enum>
+bool read_enum(util::ByteReader& in, Enum last, Enum& out) {
+  const std::uint8_t raw = in.u8();
+  if (raw > static_cast<std::uint8_t>(last)) in.fail();
+  if (!in.ok()) return false;
+  out = static_cast<Enum>(raw);
+  return true;
+}
+
+}  // namespace
+
+RuleEngine::RuleEngine(const sim::Simulation& sim) : sim_(sim) {}
 
 void RuleEngine::set_blocklist_action(app::PolicyAction action) { blocklist_action_ = action; }
 
@@ -29,12 +43,7 @@ void RuleEngine::set_challenge_mode(ChallengeMode mode) { challenge_mode_ = mode
 
 void RuleEngine::add_rate_limit(RateLimitSpec spec) {
   NamedLimiter named;
-  // Only Full mode interns limiter keys; Legacy and Arena share the
-  // string-keyed store so the perf ladder isolates each optimisation.
-  const auto store = mode_ == AllocationMode::Full
-                         ? SlidingWindowRateLimiter::KeyStore::Interned
-                         : SlidingWindowRateLimiter::KeyStore::Legacy;
-  named.limiter = std::make_unique<SlidingWindowRateLimiter>(spec.limit, spec.window, store);
+  named.limiter = std::make_unique<SlidingWindowRateLimiter>(spec.limit, spec.window);
   named.spec = std::move(spec);
   if (metrics_ != nullptr) {
     named.limiter->bind_denials(
@@ -65,26 +74,8 @@ void RuleEngine::remove_rate_limit(const std::string& name) {
                   limiters_.end());
 }
 
-std::string RuleEngine::rate_key(const RateLimitSpec& spec, const web::HttpRequest& request) {
-  switch (spec.key) {
-    case RateKey::Global:
-      return "*";
-    case RateKey::ByIp:
-      return request.ip.str();
-    case RateKey::BySession:
-      return request.session.str();
-    case RateKey::ByFingerprint:
-      return request.fp_hash.str();
-    case RateKey::ByBookingRef:
-      // Requests without a booking reference fall back to the session key so
-      // they cannot dodge the limit by omitting the field.
-      return request.booking_ref.value_or("s:" + request.session.str());
-  }
-  return "*";
-}
-
-std::string_view RuleEngine::arena_rate_key(const RateLimitSpec& spec,
-                                            const web::HttpRequest& request) {
+std::string_view RuleEngine::render_key(const RateLimitSpec& spec,
+                                        const web::HttpRequest& request) {
   switch (spec.key) {
     case RateKey::Global:
       return "*";
@@ -119,7 +110,7 @@ app::PolicyDecision RuleEngine::evaluate(const web::HttpRequest& request,
                                          const app::ClientContext& ctx) {
   // Per-request scope for arena-backed rate keys: every view handed out below
   // dies with this call.
-  if (mode_ != AllocationMode::Legacy) arena_.reset();
+  arena_.reset();
 
   // 1. IP blocking.
   if (ip_blocked(request.ip)) {
@@ -168,11 +159,7 @@ app::PolicyDecision RuleEngine::evaluate(const web::HttpRequest& request,
           1, static_cast<std::uint64_t>(
                  std::ceil(static_cast<double>(named.spec.limit) * limit_scale)));
     }
-    const bool allowed =
-        mode_ == AllocationMode::Legacy
-            ? named.limiter->allow(sim_.now(), rate_key(named.spec, request), effective)
-            : named.limiter->allow(sim_.now(), arena_rate_key(named.spec, request), effective);
-    if (!allowed) {
+    if (!named.limiter->allow(sim_.now(), render_key(named.spec, request), effective)) {
       return app::PolicyDecision{app::PolicyAction::RateLimited, named.spec.name,
                                  util::ErrorCode::kRateLimited};
     }
@@ -203,7 +190,7 @@ void RuleEngine::checkpoint(util::ByteWriter& out) const {
 
 void RuleEngine::restore(util::ByteReader& in) {
   blocklist_.restore(in);
-  blocklist_action_ = static_cast<app::PolicyAction>(in.u8());
+  read_enum(in, app::PolicyAction::Shed, blocklist_action_);
   blocked_ips_.clear();
   const auto ips = in.u64();
   for (std::uint64_t i = 0; i < ips && in.ok(); ++i) blocked_ips_.insert(in.u32());
@@ -217,9 +204,10 @@ void RuleEngine::restore(util::ByteReader& in) {
   loyalty_gated_.clear();
   const auto gates = in.u64();
   for (std::uint64_t i = 0; i < gates && in.ok(); ++i) {
-    loyalty_gated_.insert(static_cast<web::Endpoint>(in.u8()));
+    web::Endpoint endpoint{};
+    if (read_enum(in, web::Endpoint::TrapFile, endpoint)) loyalty_gated_.insert(endpoint);
   }
-  challenge_mode_ = static_cast<ChallengeMode>(in.u8());
+  read_enum(in, ChallengeMode::AllTransactional, challenge_mode_);
   // Limiter specs are scenario configuration: the restoring process must have
   // re-added the same rate limits in the same order. Only window state is
   // carried over; a mismatch leaves later limiters at their fresh state.

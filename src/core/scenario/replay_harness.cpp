@@ -863,7 +863,8 @@ util::Result<RunArtifacts> replay_run(const RecordedScenarioConfig& config,
       fault::FaultRegistry::global().restore(state);
       if (p.graph != nullptr) p.graph->restore(state);
       if (!state.ok()) {
-        return R::fail(util::ErrorCode::kJournalCorrupt, "replay: checkpoint blob truncated");
+        return R::fail(util::ErrorCode::kJournalCorrupt,
+                       "replay: checkpoint blob truncated or invalid");
       }
       start = i + 1;
       break;

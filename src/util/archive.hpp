@@ -72,6 +72,9 @@ class ByteReader {
   // True when the payload was consumed exactly (no trailing garbage).
   [[nodiscard]] bool exhausted() const { return ok_ && pos_ == bytes_.size(); }
   [[nodiscard]] std::size_t remaining() const { return ok_ ? bytes_.size() - pos_ : 0; }
+  // Latches ok() false, as an out-of-bounds read does. Decoders call it on
+  // bytes that are in bounds but invalid (an out-of-range enum, unsorted keys).
+  void fail() { ok_ = false; }
 
  private:
   [[nodiscard]] std::uint64_t get_le(int n) {

@@ -1,10 +1,10 @@
 // Bump-pointer arena for per-request transient allocations.
 //
-// The admit path builds short-lived byte strings — rate-limit keys, decimal
-// renderings of strong ids — whose lifetimes all end when the request
-// finishes. A bump allocator turns each of those heap round-trips into a
-// pointer increment: allocate forward through a chunk, never free
-// individually, reset the whole arena between requests. reset() keeps the
+// The admit path builds short-lived byte strings — the rule engine's
+// rate-limit keys, decimal renderings of strong ids — whose lifetimes all end
+// when the request finishes. A bump allocator makes each of them a pointer
+// increment instead of a heap round-trip: allocate forward through a chunk,
+// never free individually, reset the whole arena between requests. reset() keeps the
 // chunks, so a warmed-up arena serves every subsequent request without
 // touching the heap at all.
 //

@@ -7,10 +7,13 @@
 // produces zero verdict diffs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <vector>
 
+#include "core/journal/journal.hpp"
 #include "core/scenario/replay_harness.hpp"
 #include "sim/rng.hpp"
 #include "util/hash.hpp"
@@ -262,6 +265,57 @@ TEST(RecordReplay, CheckpointResumeEqualsFullReplay) {
   EXPECT_EQ(recorded.value().metrics_csv, resumed.value().metrics_csv);
   EXPECT_EQ(recorded.value().weblog_csv, resumed.value().weblog_csv);
   EXPECT_EQ(recorded.value().soc_report, resumed.value().soc_report);
+}
+
+TEST(RecordReplay, CheckpointWithBadChallengeModeIsCorrupt) {
+  const auto config = small_config();
+  const std::string path = tmp_path("bad-challenge.journal");
+  ASSERT_TRUE(scenario::record_run(config, path).has_value());
+
+  journal::JournalReader reader;
+  ASSERT_TRUE(reader.open(path).is_ok());
+  std::vector<journal::Record> records = reader.records();
+  // Rewrites the journal from `records` (fresh, valid frame checksums) and
+  // replays it from its last checkpoint.
+  const auto resume_from = [&](const std::vector<journal::Record>& rewritten) {
+    journal::JournalWriter writer;
+    EXPECT_TRUE(writer.open(path, reader.seed(), reader.config_digest()).is_ok());
+    for (const auto& record : rewritten) {
+      util::ByteWriter body;
+      body.raw(record.fields);
+      EXPECT_TRUE(writer.append(record.kind, record.time, body).is_ok());
+    }
+    EXPECT_TRUE(writer.close().is_ok());
+    scenario::ReplayOptions from_checkpoint;
+    from_checkpoint.from_last_checkpoint = true;
+    return scenario::replay_run(config, path, from_checkpoint);
+  };
+  ASSERT_TRUE(resume_from(records).has_value());
+
+  auto last = std::find_if(records.rbegin(), records.rend(), [](const journal::Record& r) {
+    return r.kind == journal::RecordKind::Checkpoint;
+  });
+  ASSERT_NE(last, records.rend());
+  // The rule engine's frame holds its challenge-mode byte right before the
+  // limiter count (u64 1) and the one limiter's length-prefixed name.
+  util::ByteReader fields(last->fields);
+  std::string blob = fields.str();
+  ASSERT_EQ(config.rate_limits.size(), 1u);
+  util::ByteWriter marker;
+  marker.u64(1);
+  marker.str(config.rate_limits[0].name);
+  const std::size_t at = blob.find(marker.bytes());
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_GT(at, 0u);
+  ASSERT_EQ(blob[at - 1], static_cast<char>(config.challenge_mode));
+  blob[at - 1] = static_cast<char>(0x7F);
+  util::ByteWriter mutated;
+  mutated.str(blob);
+  last->fields = mutated.bytes();
+
+  const auto resumed = resume_from(records);
+  ASSERT_FALSE(resumed.has_value());
+  EXPECT_EQ(resumed.code(), util::ErrorCode::kJournalCorrupt);
 }
 
 TEST(RecordReplay, MismatchedConfigIsRefused) {

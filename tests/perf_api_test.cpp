@@ -1,24 +1,29 @@
 // Hot-path speed campaign: the contracts behind the batched detection API,
 // the arena/interned admit path, and the perf gatekeeper's probes.
 //
-//   * batched score_batch == scalar adapter, byte-for-byte, across seeds,
-//     epoch configs, and the detect.batch.run fault fallback
+//   * batched score_batch == the scalar adapter the detect.batch.run fault
+//     falls back to, byte-for-byte, across seeds and epoch configs
 //   * util::Arena reset/reuse semantics and allocation accounting
 //   * util::InternTable id recycling and exact-id checkpoint/restore
-//   * SlidingWindowRateLimiter: Legacy and Interned key stores make identical
-//     decisions and identical checkpoint bytes
-//   * RuleEngine: Legacy/Arena/Full allocation modes decide identically
+//   * SlidingWindowRateLimiter agrees with a string-keyed reference model on
+//     every decision, tally and checkpoint byte
+//   * RuleEngine rate keys equal the canonical public renderings
+//   * limiter and rule-engine restore reject hostile frames
 //   * histogram_percentile: single-sample buckets report one stable value
 //   * PipelineView: typed stats hold the batch conservation law
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "attack/scraper.hpp"
+#include "attack/seat_spin.hpp"
+#include "attack/sms_pump.hpp"
 #include "core/detect/detector.hpp"
 #include "core/detect/pipeline.hpp"
 #include "core/fault/fault.hpp"
@@ -52,23 +57,45 @@ std::string render_alerts(const std::vector<detect::Alert>& alerts) {
   return out.str();
 }
 
-// A platform with mixed legit + scraper traffic, so identity comparisons have
+// A platform with mixed legit + attack traffic, so identity comparisons have
 // real alerts to diff (pure legit traffic alerts on nothing — vacuously
-// "identical"). Env is constructed in place; it is not movable.
+// "identical"). A scraper, a seat-spinning DoI bot and an SMS pumper (the
+// latter two configured as in bench/exp_detection_comparison) start after
+// six clean hours, which serve as the NiP baseline. Env is constructed in
+// place; it is not movable.
 struct AlertWorld {
+  static constexpr sim::SimTime kAttackStart = sim::hours(6);
+
   scenario::Env env;
   std::unique_ptr<attack::ScraperBot> scraper;
+  std::unique_ptr<attack::SeatSpinBot> doi;
+  std::unique_ptr<attack::SmsPumpBot> pump;
 
   AlertWorld(std::uint64_t seed, sim::SimTime horizon) : env(make_config(seed)) {
     env.add_flights("FS", 4, 150, sim::days(5));
+    const auto target = env.app.add_flight("FS", 801, 100, sim::days(9));
     attack::ScraperConfig config;
     config.sessions = 3;
     config.session_gap = sim::minutes(20);
     scraper = std::make_unique<attack::ScraperBot>(env.app, env.actors, env.datacenter,
                                                    env.population, config,
                                                    env.rng.fork("scraper"));
+    attack::SeatSpinConfig doi_config;
+    doi_config.target = target;
+    doi = std::make_unique<attack::SeatSpinBot>(env.app, env.actors, env.residential,
+                                                env.population, doi_config, env.rng.fork("doi"));
+    attack::SmsPumpConfig pump_config;
+    pump_config.tickets_to_buy = 4;
+    pump_config.mean_request_gap = sim::minutes(1);
+    pump = std::make_unique<attack::SmsPumpBot>(env.app, env.actors, env.residential,
+                                                env.population, env.tariffs, pump_config,
+                                                env.rng.fork("pump"));
     env.start_background(horizon);
     env.sim.schedule_at(sim::minutes(10), [this] { scraper->start(); });
+    env.sim.schedule_at(kAttackStart, [this] {
+      doi->start();
+      pump->start();
+    });
     env.run_until(horizon);
   }
 
@@ -173,65 +200,138 @@ TEST(InternTable, CheckpointRestoresExactIdAssignment) {
   EXPECT_EQ(out2.bytes(), frame);
 }
 
-// --- Rate limiter key stores ------------------------------------------------
+// --- Rate limiter -----------------------------------------------------------
 
-TEST(RateLimiterStores, LegacyAndInternedDecideIdentically) {
-  using Limiter = mitigate::SlidingWindowRateLimiter;
-  Limiter legacy(3, sim::kHour, Limiter::KeyStore::Legacy);
-  Limiter interned(3, sim::kHour, Limiter::KeyStore::Interned);
-  ASSERT_EQ(interned.key_store(), Limiter::KeyStore::Interned);
+// Test-local reference model of the limiter's rules, kept as plain
+// string-keyed windows: the same prune (events at or before now - window
+// leave), amortised sweep (at most once per window span, dropping keys whose
+// newest event aged out), and limit check (denied events are not recorded).
+// Its checkpoint writes the limiter's frame layout from a sorted map.
+class LimiterModel {
+ public:
+  LimiterModel(std::uint64_t limit, sim::SimDuration window) : limit_(limit), window_(window) {}
 
-  // Deterministic churny stream: rotating keys, time marching through many
-  // sweep periods, enough per-key pressure to deny.
-  sim::SimTime now = 0;
-  for (int i = 0; i < 5000; ++i) {
+  bool allow(sim::SimTime now, const std::string& key, std::uint64_t effective_limit) {
+    if (now - last_sweep_ >= window_) {
+      last_sweep_ = now;
+      std::erase_if(windows_, [&](const auto& entry) {
+        return entry.second.empty() || entry.second.back() <= now - window_;
+      });
+    }
+    auto& q = windows_[key];
+    prune(now, q);
+    if (q.size() >= effective_limit) {
+      ++denials_;
+      return false;
+    }
+    q.push_back(now);
+    return true;
+  }
+  bool allow(sim::SimTime now, const std::string& key) { return allow(now, key, limit_); }
+
+  std::uint64_t current(sim::SimTime now, const std::string& key) {
+    const auto it = windows_.find(key);
+    if (it == windows_.end()) return 0;
+    prune(now, it->second);
+    if (it->second.empty()) {
+      windows_.erase(it);
+      return 0;
+    }
+    return it->second.size();
+  }
+
+  [[nodiscard]] std::uint64_t max_in_window(sim::SimTime now) const {
+    std::uint64_t max = 0;
+    for (const auto& [key, q] : windows_) {
+      const auto live = static_cast<std::uint64_t>(
+          std::count_if(q.begin(), q.end(), [&](sim::SimTime t) { return t > now - window_; }));
+      max = std::max(max, live);
+    }
+    return max;
+  }
+
+  [[nodiscard]] std::size_t key_count() const { return windows_.size(); }
+  [[nodiscard]] std::uint64_t denials() const { return denials_; }
+
+  [[nodiscard]] std::string checkpoint() const {
+    util::ByteWriter out;
+    out.u64(denials_);
+    out.i64(last_sweep_);
+    out.u64(windows_.size());
+    for (const auto& [key, q] : windows_) {
+      out.str(key);
+      out.u64(q.size());
+      for (sim::SimTime t : q) out.i64(t);
+    }
+    return out.bytes();
+  }
+
+ private:
+  void prune(sim::SimTime now, std::deque<sim::SimTime>& q) const {
+    while (!q.empty() && q.front() <= now - window_) q.pop_front();
+  }
+
+  std::uint64_t limit_;
+  sim::SimDuration window_;
+  std::map<std::string, std::deque<sim::SimTime>> windows_;
+  std::uint64_t denials_ = 0;
+  sim::SimTime last_sweep_ = 0;
+};
+
+// Drives `steps` requests of a deterministic churny stream (a rotating hot
+// set, fresh one-off keys, occasional brownout-tightened limits, time
+// marching through many sweep periods) through the limiter and the model,
+// asserting they agree on every observable after every step.
+void drive_against_model(mitigate::SlidingWindowRateLimiter& limiter, LimiterModel& model,
+                         sim::SimTime& now, int first, int steps) {
+  for (int i = first; i < first + steps; ++i) {
     now += sim::seconds(40);
-    const std::string key = "k-" + std::to_string((i * 7) % 12);
-    const bool a = legacy.allow(now, key);
-    const bool b = interned.allow(now, key);
-    ASSERT_EQ(a, b) << "decision diverged at step " << i;
+    const std::string key =
+        i % 5 == 0 ? "fresh-" + std::to_string(i) : "k-" + std::to_string((i * 7) % 12);
+    bool decided = false;
+    bool expected = false;
+    if (i % 7 == 0) {
+      decided = limiter.allow(now, key, 2);
+      expected = model.allow(now, key, 2);
+    } else {
+      decided = limiter.allow(now, key);
+      expected = model.allow(now, key);
+    }
+    ASSERT_EQ(decided, expected) << "decision diverged at step " << i;
+    ASSERT_EQ(limiter.denials(), model.denials()) << i;
+    ASSERT_EQ(limiter.key_count(), model.key_count()) << i;
+    ASSERT_EQ(limiter.max_in_window(now), model.max_in_window(now)) << i;
+    // Probing a key other than the one just used exercises current()'s
+    // prune-and-erase of emptied windows.
+    const std::string probe = "k-" + std::to_string((i * 5) % 12);
+    ASSERT_EQ(limiter.current(now, probe), model.current(now, probe)) << i;
+    ASSERT_EQ(limiter.key_count(), model.key_count()) << i;
   }
-  EXPECT_GT(legacy.denials(), 0u);
-  EXPECT_EQ(legacy.denials(), interned.denials());
-  EXPECT_EQ(legacy.key_count(), interned.key_count());
-  EXPECT_EQ(legacy.max_in_window(now), interned.max_in_window(now));
-  for (int k = 0; k < 12; ++k) {
-    const std::string key = "k-" + std::to_string(k);
-    ASSERT_EQ(legacy.current(now, key), interned.current(now, key)) << key;
-  }
-  EXPECT_EQ(checkpoint_bytes(legacy), checkpoint_bytes(interned));
 }
 
-TEST(RateLimiterStores, CheckpointRestoresAcrossStores) {
-  using Limiter = mitigate::SlidingWindowRateLimiter;
-  Limiter interned(5, sim::kHour, Limiter::KeyStore::Interned);
+TEST(RateLimiter, MatchesReferenceModelAndRoundTripsCheckpoints) {
+  mitigate::SlidingWindowRateLimiter limiter(3, sim::kHour);
+  LimiterModel model(3, sim::kHour);
   sim::SimTime now = 0;
-  for (int i = 0; i < 400; ++i) {
-    now += sim::seconds(90);
-    (void)interned.allow(now, "key-" + std::to_string(i % 23));
-  }
-  const std::string frame = checkpoint_bytes(interned);
+  ASSERT_NO_FATAL_FAILURE(drive_against_model(limiter, model, now, 0, 5000));
+  EXPECT_GT(limiter.denials(), 0u);
 
-  // An interned frame restores into a legacy limiter (and vice versa): the
-  // format carries key strings, never ids.
-  Limiter legacy(5, sim::kHour, Limiter::KeyStore::Legacy);
+  const std::string frame = checkpoint_bytes(limiter);
+  EXPECT_EQ(frame, model.checkpoint());
+
+  // checkpoint -> restore -> checkpoint is byte-stable, and the restored
+  // limiter keeps agreeing with the model.
+  mitigate::SlidingWindowRateLimiter restored(3, sim::kHour);
   util::ByteReader in(frame);
-  legacy.restore(in);
-  EXPECT_EQ(checkpoint_bytes(legacy), frame);
-  EXPECT_EQ(legacy.key_count(), interned.key_count());
-
-  // Both continuations decide identically after the restore.
-  for (int i = 0; i < 200; ++i) {
-    now += sim::seconds(45);
-    const std::string key = "key-" + std::to_string(i % 23);
-    ASSERT_EQ(legacy.allow(now, key), interned.allow(now, key));
-  }
-  EXPECT_EQ(legacy.denials(), interned.denials());
+  restored.restore(in);
+  ASSERT_TRUE(in.exhausted());
+  EXPECT_EQ(checkpoint_bytes(restored), frame);
+  ASSERT_NO_FATAL_FAILURE(drive_against_model(restored, model, now, 5000, 1000));
+  EXPECT_EQ(checkpoint_bytes(restored), model.checkpoint());
 }
 
 TEST(RateLimiterStores, StaleEvictionBoundsInternedKeys) {
-  using Limiter = mitigate::SlidingWindowRateLimiter;
-  Limiter limiter(10, sim::kMinute, Limiter::KeyStore::Interned);
+  mitigate::SlidingWindowRateLimiter limiter(10, sim::kMinute);
   sim::SimTime now = 0;
   for (int i = 0; i < 10'000; ++i) {
     now += sim::seconds(2);
@@ -242,61 +342,165 @@ TEST(RateLimiterStores, StaleEvictionBoundsInternedKeys) {
   EXPECT_LE(limiter.key_count(), 100u);
 }
 
-// --- RuleEngine allocation modes --------------------------------------------
+// --- RuleEngine rate keys ---------------------------------------------------
 
-TEST(RuleEngineModes, AllThreeModesDecideIdentically) {
-  sim::Simulation sim;
-  const auto configure = [](mitigate::RuleEngine& engine) {
-    engine.add_rate_limit({"global", std::nullopt, mitigate::RateKey::Global, 4000, sim::kHour});
-    engine.add_rate_limit({"ip", std::nullopt, mitigate::RateKey::ByIp, 40, sim::kHour});
-    engine.add_rate_limit(
-        {"session", std::nullopt, mitigate::RateKey::BySession, 25, sim::kHour});
-    engine.add_rate_limit({"fp", std::nullopt, mitigate::RateKey::ByFingerprint, 60, sim::kHour});
-    engine.add_rate_limit({"booking", web::Endpoint::BoardingPassSms,
-                           mitigate::RateKey::ByBookingRef, 3, sim::kDay});
+// Every RateKey renders to the canonical public string of the request field
+// it keys on, so limiter state (and therefore checkpoint key bytes) is keyed
+// exactly by ip.str(), session.str(), fp_hash.str(), the booking ref, or
+// "s:" + session.str() when the ref is absent.
+TEST(RuleEngineKeys, ArenaKeysEqualCanonicalRenderings) {
+  web::HttpRequest request;
+  request.ip = net::IpV4{0xC0A80A2Bu};
+  // Multi-digit session and full-width fingerprint hash: decimal renderings
+  // longer than the small-string buffer.
+  request.session = web::SessionId{9'876'543'210'123ull};
+  request.fp_hash = fp::FpHash{0xF00000000000002Aull};
+  request.endpoint = web::Endpoint::BoardingPassSms;
+  web::HttpRequest no_ref = request;
+  request.booking_ref = "PNR7QX";
+
+  struct Case {
+    mitigate::RateKey key;
+    const web::HttpRequest* request;
+    std::string expected;
   };
-  mitigate::RuleEngine legacy(sim, mitigate::AllocationMode::Legacy);
-  mitigate::RuleEngine arena(sim, mitigate::AllocationMode::Arena);
-  mitigate::RuleEngine full(sim, mitigate::AllocationMode::Full);
-  ASSERT_EQ(full.allocation_mode(), mitigate::AllocationMode::Full);
-  configure(legacy);
-  configure(arena);
-  configure(full);
-
-  app::ClientContext ctx;
-  for (int i = 0; i < 3000; ++i) {
-    web::HttpRequest request;
-    request.ip = net::IpV4{0x0A000000u + static_cast<std::uint32_t>(i % 7)};
-    request.session = web::SessionId{static_cast<std::uint64_t>(i % 11) + 1};
-    // Full-width hash values: decimal renderings exceed SSO, the case the
-    // arena path exists for.
-    request.fp_hash = fp::FpHash{0xF000000000000000ull + static_cast<std::uint64_t>(i % 5)};
-    request.endpoint =
-        i % 3 == 0 ? web::Endpoint::BoardingPassSms : web::Endpoint::SearchFlights;
-    if (i % 4 == 0) request.booking_ref = "PNR" + std::to_string(i % 9);
-    ctx.ip = request.ip;
-    ctx.session = request.session;
-
-    const auto a = legacy.evaluate(request, ctx);
-    const auto b = arena.evaluate(request, ctx);
-    const auto c = full.evaluate(request, ctx);
-    ASSERT_EQ(a.action, b.action) << "legacy vs arena at " << i;
-    ASSERT_EQ(a.action, c.action) << "legacy vs full at " << i;
-    ASSERT_EQ(a.rule, b.rule) << i;
-    ASSERT_EQ(a.rule, c.rule) << i;
+  const std::vector<Case> cases = {
+      {mitigate::RateKey::Global, &request, "*"},
+      {mitigate::RateKey::ByIp, &request, request.ip.str()},
+      {mitigate::RateKey::BySession, &request, request.session.str()},
+      {mitigate::RateKey::ByFingerprint, &request, request.fp_hash.str()},
+      {mitigate::RateKey::ByBookingRef, &request, "PNR7QX"},
+      {mitigate::RateKey::ByBookingRef, &no_ref, "s:" + request.session.str()},
+  };
+  sim::Simulation sim;
+  const app::ClientContext ctx;
+  for (const auto& c : cases) {
+    mitigate::RuleEngine engine(sim);
+    engine.add_rate_limit({"limit", std::nullopt, c.key, 10, sim::kHour});
+    ASSERT_EQ(engine.evaluate(*c.request, ctx).action, app::PolicyAction::Allow) << c.expected;
+    const mitigate::SlidingWindowRateLimiter* limiter = engine.limiter("limit");
+    ASSERT_NE(limiter, nullptr);
+    EXPECT_EQ(limiter->key_count(), 1u) << c.expected;
+    // Read the window back through the limiter's checkpoint frame, so the
+    // check covers the key bytes a checkpoint carries.
+    mitigate::SlidingWindowRateLimiter copy(10, sim::kHour);
+    const std::string frame = checkpoint_bytes(*limiter);
+    util::ByteReader in(frame);
+    copy.restore(in);
+    ASSERT_TRUE(in.exhausted());
+    EXPECT_EQ(copy.current(sim.now(), c.expected), 1u) << c.expected;
   }
-  // Arena mode never touched the heap-string path and Full interned its keys,
-  // yet all three serialise to the same bytes.
-  util::ByteWriter wa;
-  util::ByteWriter wb;
-  util::ByteWriter wc;
-  legacy.checkpoint(wa);
-  arena.checkpoint(wb);
-  full.checkpoint(wc);
-  EXPECT_EQ(wa.bytes(), wb.bytes());
-  EXPECT_EQ(wa.bytes(), wc.bytes());
-  EXPECT_GT(full.key_arena().stats().allocations, 0u);
-  EXPECT_EQ(legacy.key_arena().stats().allocations, 0u);
+}
+
+// --- Hostile restore frames -------------------------------------------------
+
+// A limiter frame in the writer's layout, from (key, timestamps) entries
+// given in the order they should appear.
+std::string limiter_frame(
+    const std::vector<std::pair<std::string, std::vector<sim::SimTime>>>& entries) {
+  util::ByteWriter out;
+  out.u64(0);  // denials
+  out.i64(0);  // last sweep
+  out.u64(entries.size());
+  for (const auto& [key, times] : entries) {
+    out.str(key);
+    out.u64(times.size());
+    for (sim::SimTime t : times) out.i64(t);
+  }
+  return out.bytes();
+}
+
+bool limiter_restores(const std::string& frame) {
+  mitigate::SlidingWindowRateLimiter limiter(2, sim::kHour);
+  util::ByteReader in(frame);
+  limiter.restore(in);
+  return in.ok();
+}
+
+TEST(HostileRestore, LimiterAcceptsWriterFrame) {
+  EXPECT_TRUE(limiter_restores(limiter_frame({{"a", {1, 2}}, {"b", {3, 3}}})));
+}
+
+TEST(HostileRestore, LimiterRejectsDuplicateKey) {
+  // Merging both windows would leave 4 events under one key, above limit 2.
+  EXPECT_FALSE(limiter_restores(limiter_frame({{"a", {1, 2}}, {"a", {3, 4}}})));
+}
+
+TEST(HostileRestore, LimiterRejectsDescendingKeys) {
+  EXPECT_FALSE(limiter_restores(limiter_frame({{"b", {1}}, {"a", {2}}})));
+}
+
+TEST(HostileRestore, LimiterRejectsDescendingTimestamps) {
+  EXPECT_FALSE(limiter_restores(limiter_frame({{"a", {5, 4}}})));
+}
+
+// A rule-engine checkpoint with one loyalty gate and one limiter, plus the
+// offsets of its enum bytes.
+struct EngineFrame {
+  std::string bytes;
+  std::size_t action = 0;     // blocklist action (app::PolicyAction)
+  std::size_t endpoint = 0;   // the loyalty-gated endpoint (web::Endpoint)
+  std::size_t challenge = 0;  // challenge mode (mitigate::ChallengeMode)
+};
+
+EngineFrame engine_frame(const sim::Simulation& sim) {
+  mitigate::RuleEngine engine(sim);
+  engine.gate_to_loyalty(web::Endpoint::BoardingPassSms);
+  engine.set_challenge_mode(mitigate::ChallengeMode::SuspiciousOnly);
+  engine.add_rate_limit({"limit", std::nullopt, mitigate::RateKey::ByIp, 10, sim::kHour});
+  util::ByteWriter blocklist;
+  engine.blocklist().checkpoint(blocklist);
+  util::ByteWriter out;
+  engine.checkpoint(out);
+  EngineFrame frame;
+  frame.bytes = out.bytes();
+  // Layout after the blocklist: action u8, ip count u64 (0), cidr count u64
+  // (0), gate count u64 (1), one endpoint u8, challenge mode u8.
+  frame.action = blocklist.bytes().size();
+  frame.endpoint = frame.action + 1 + 8 + 8 + 8;
+  frame.challenge = frame.endpoint + 1;
+  return frame;
+}
+
+bool engine_restores(const sim::Simulation& sim, const std::string& bytes) {
+  mitigate::RuleEngine engine(sim);
+  engine.add_rate_limit({"limit", std::nullopt, mitigate::RateKey::ByIp, 10, sim::kHour});
+  util::ByteReader in(bytes);
+  engine.restore(in);
+  return in.ok();
+}
+
+TEST(HostileRestore, RuleEngineAcceptsWriterFrame) {
+  sim::Simulation sim;
+  const EngineFrame frame = engine_frame(sim);
+  ASSERT_EQ(static_cast<std::uint8_t>(frame.bytes[frame.action]),
+            static_cast<std::uint8_t>(app::PolicyAction::Block));
+  ASSERT_EQ(static_cast<std::uint8_t>(frame.bytes[frame.endpoint]),
+            static_cast<std::uint8_t>(web::Endpoint::BoardingPassSms));
+  ASSERT_EQ(static_cast<std::uint8_t>(frame.bytes[frame.challenge]),
+            static_cast<std::uint8_t>(mitigate::ChallengeMode::SuspiciousOnly));
+  EXPECT_TRUE(engine_restores(sim, frame.bytes));
+}
+
+TEST(HostileRestore, RuleEngineRejectsBadPolicyAction) {
+  sim::Simulation sim;
+  EngineFrame frame = engine_frame(sim);
+  frame.bytes[frame.action] = static_cast<char>(0x40);
+  EXPECT_FALSE(engine_restores(sim, frame.bytes));
+}
+
+TEST(HostileRestore, RuleEngineRejectsBadEndpoint) {
+  sim::Simulation sim;
+  EngineFrame frame = engine_frame(sim);
+  frame.bytes[frame.endpoint] = static_cast<char>(0xFF);
+  EXPECT_FALSE(engine_restores(sim, frame.bytes));
+}
+
+TEST(HostileRestore, RuleEngineRejectsBadChallengeMode) {
+  sim::Simulation sim;
+  EngineFrame frame = engine_frame(sim);
+  frame.bytes[frame.challenge] = static_cast<char>(3);
+  EXPECT_FALSE(engine_restores(sim, frame.bytes));
 }
 
 // --- Batched detector API ---------------------------------------------------
@@ -359,54 +563,65 @@ class PipelineIdentityTest : public ::testing::Test {
   void SetUp() override { fault::FaultRegistry::global().reset(); }
   void TearDown() override { fault::FaultRegistry::global().reset(); }
 
-  // Runs the pipeline over the env's full window in the given mode and
-  // returns the rendered alert bytes.
-  static std::string run_alerts(scenario::Env& env, sim::SimTime horizon, bool batched,
+  // Runs the pipeline over the world's full window and returns the rendered
+  // alert bytes. The scalar reference run arms "detect.batch.run", which
+  // demotes every family to the base-class adapter, and checks that the
+  // fallback was taken.
+  static std::string run_alerts(AlertWorld& world, sim::SimTime horizon, bool batched,
                                 detect::PipelineConfig config = {}) {
+    scenario::Env& env = world.env;
+    if (!batched) {
+      fault::FaultRegistry::global().arm("detect.batch.run",
+                                         fault::FaultScenario::every_nth(1));
+    }
     detect::DetectionPipeline pipeline(config);
-    pipeline.set_batch_mode(batched);
+    pipeline.bind_obs(&env.app.obs());
+    pipeline.fit_nip_baseline(env.app, 0, AlertWorld::kAttackStart);
     pipeline.enable_ip_reputation(env.geo);
+    const std::uint64_t fallbacks_before = pipeline.view().stats().batch_fallbacks;
     const auto result = pipeline.run(env.app, env.actors, 0, horizon);
+    const std::uint64_t fallbacks = pipeline.view().stats().batch_fallbacks - fallbacks_before;
+    fault::FaultRegistry::global().reset();
+    if (batched) {
+      EXPECT_EQ(fallbacks, 0u);
+    } else {
+      EXPECT_GE(fallbacks, 1u);
+    }
     return render_alerts(result.alerts.alerts());
+  }
+
+  // Batched and scalar runs emit identical, non-vacuous alert bytes, with
+  // the feature-level families (which only the DoI bot and the SMS pumper
+  // trip) among them.
+  static void expect_identical(std::uint64_t seed, sim::SimTime horizon,
+                               const detect::PipelineConfig& config = {}) {
+    AlertWorld world(seed, horizon);
+    const std::string batched = run_alerts(world, horizon, true, config);
+    const std::string scalar = run_alerts(world, horizon, false, config);
+    for (const char* family : {"|nip.", "|name.", "|sms."}) {
+      EXPECT_NE(batched.find(family), std::string::npos)
+          << "seed " << seed << ": no " << family << " alert — vacuous comparison";
+    }
+    EXPECT_EQ(batched, scalar) << "seed " << seed;
   }
 };
 
 TEST_F(PipelineIdentityTest, BatchedMatchesScalarAcrossSeeds) {
-  for (const std::uint64_t seed : {3ull, 9ull}) {
-    AlertWorld world(seed, sim::hours(2));
-    const std::string batched = run_alerts(world.env, sim::hours(2), true);
-    const std::string scalar = run_alerts(world.env, sim::hours(2), false);
-    EXPECT_FALSE(batched.empty()) << "seed " << seed << ": no alerts — vacuous comparison";
-    EXPECT_EQ(batched, scalar) << "seed " << seed;
-  }
+  for (const std::uint64_t seed : {3ull, 9ull}) expect_identical(seed, sim::hours(8));
+}
+
+// The scalar reference of every comparison is the batch-fault fallback: with
+// "detect.batch.run" armed, each family demotes to the base-class adapter and
+// must still emit the batched run's exact alert bytes.
+TEST_F(PipelineIdentityTest, BatchFaultFallsBackToScalarIdentically) {
+  expect_identical(7, sim::hours(8));
 }
 
 TEST_F(PipelineIdentityTest, BatchedMatchesScalarWithEpochSlicing) {
-  AlertWorld world(5, sim::hours(3));
   detect::PipelineConfig sliced;
-  sliced.batch_epoch = sim::hours(1);
+  sliced.batch_epoch = sim::hours(2);
   sliced.max_batch_epochs = 4;
-  const std::string batched = run_alerts(world.env, sim::hours(3), true, sliced);
-  const std::string scalar = run_alerts(world.env, sim::hours(3), false, sliced);
-  EXPECT_FALSE(batched.empty()) << "no alerts — vacuous comparison";
-  EXPECT_EQ(batched, scalar);
-}
-
-TEST_F(PipelineIdentityTest, BatchFaultFallsBackToScalarIdentically) {
-  AlertWorld world(7, sim::hours(2));
-  scenario::Env& env = world.env;
-  const std::string reference = run_alerts(env, sim::hours(2), false);
-
-  // Arm the batch fault: every batched run demotes to the scalar adapter.
-  fault::FaultRegistry::global().arm("detect.batch.run",
-                                     fault::FaultScenario::every_nth(1));
-  detect::DetectionPipeline pipeline;
-  pipeline.bind_obs(&env.app.obs());
-  pipeline.set_batch_mode(true);
-  pipeline.enable_ip_reputation(env.geo);
-  const auto result = pipeline.run(env.app, env.actors, 0, sim::hours(2));
-  EXPECT_EQ(render_alerts(result.alerts.alerts()), reference);
-  EXPECT_GE(pipeline.view().stats().batch_fallbacks, 1u);
+  expect_identical(5, sim::hours(8), sliced);
 }
 
 TEST_F(PipelineIdentityTest, PipelineViewHoldsBatchConservation) {

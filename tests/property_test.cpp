@@ -1,6 +1,7 @@
 // Parameterized property sweeps (TEST_P) over the library's core invariants.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
 #include <set>
 
@@ -18,19 +19,25 @@ namespace {
 
 // --- Inventory conservation across hold durations and capacities -------------------
 
+// Every field is 8 bytes wide so the struct has no padding: gtest prints an
+// unprintable param as its raw bytes, and those bytes name the ctest cases, so
+// uninitialised padding would rename the cases from one build to the next.
 struct InventoryParams {
-  int capacity;
+  std::int64_t capacity;
   sim::SimDuration hold;
-  int max_nip;
+  std::int64_t max_nip;
   std::uint64_t seed;
 };
+static_assert(sizeof(InventoryParams) == 32, "InventoryParams must have no padding");
 
 class InventoryProperty : public ::testing::TestWithParam<InventoryParams> {};
 
 TEST_P(InventoryProperty, ConservationAndMonotonicClock) {
   const auto p = GetParam();
-  airline::InventoryManager inv({p.hold, p.max_nip}, sim::Rng(p.seed));
-  const auto flight = inv.add_flight("T", 1, p.capacity, sim::days(30));
+  const int capacity = static_cast<int>(p.capacity);
+  const int max_nip = static_cast<int>(p.max_nip);
+  airline::InventoryManager inv({p.hold, max_nip}, sim::Rng(p.seed));
+  const auto flight = inv.add_flight("T", 1, capacity, sim::days(30));
   sim::Rng rng(p.seed ^ 0xABCD);
   std::vector<std::string> pnrs;
 
@@ -46,7 +53,7 @@ TEST_P(InventoryProperty, ConservationAndMonotonicClock) {
         const auto outcome = inv.hold(now, flight, std::move(party), web::ActorId{1});
         if (outcome.ok) pnrs.push_back(outcome.pnr);
         // NiP cap respected.
-        if (p.max_nip > 0 && nip > p.max_nip) {
+        if (max_nip > 0 && nip > max_nip) {
           EXPECT_FALSE(outcome.ok);
         }
         break;
@@ -74,14 +81,14 @@ TEST_P(InventoryProperty, ConservationAndMonotonicClock) {
         held += r.nip();
       }
       if (r.state == airline::ReservationState::Ticketed) sold += r.nip();
-      if (p.max_nip > 0) {
-        EXPECT_LE(r.nip(), p.max_nip);
+      if (max_nip > 0) {
+        EXPECT_LE(r.nip(), max_nip);
       }
     }
     EXPECT_EQ(inv.held_seats(flight), held);
     EXPECT_EQ(inv.sold_seats(flight), sold);
-    EXPECT_LE(held + sold, p.capacity);
-    EXPECT_EQ(inv.available_seats(flight), p.capacity - held - sold);
+    EXPECT_LE(held + sold, capacity);
+    EXPECT_EQ(inv.available_seats(flight), capacity - held - sold);
   }
   // Accounting closes: created = live-held + terminal states.
   const auto& stats = inv.stats();
