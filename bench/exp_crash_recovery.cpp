@@ -6,12 +6,12 @@
 //
 //   1. Crash-off identity: record_run_dir with no crash armed produces the
 //      same artifact bytes as baseline_run (the crash-consistency plumbing —
-//      atomic writes, sidecars, manifest — must not perturb the simulation).
+//      atomic writes, manifest — must not perturb the simulation).
 //   2. Crash matrix: for each crash point (journal frame early/mid/late,
-//      checkpoint frame, artifact body, artifact rename, manifest commit),
-//      tear the run at that point, run scenario::recover_run, and diff every
-//      recovered file (journal, CSVs, SOC report, manifest) against the
-//      uninterrupted baseline byte-for-byte.
+//      first and last checkpoint frame, first and last artifact body,
+//      artifact rename, manifest commit), tear the run at that point, run
+//      scenario::recover_run, and diff every recovered file (journal, CSVs,
+//      SOC report, manifest) against the uninterrupted baseline byte-for-byte.
 //   3. Fleet resume: kill a fleet sweep after a prefix of its jobs, resume
 //      over the full job list, and require the resumed report to render
 //      byte-identically to the uninterrupted fleet's — with exactly the
@@ -152,33 +152,35 @@ int main() {
     std::cout << "crash-off identity: record_run_dir == baseline_run (all artifacts)\n";
   }
 
-  // Derive journal-relative crash hits from the baseline's actual frame
-  // count, so "late" tears near EOF at every scale.
-  const auto baseline_scan =
-      journal::scan_journal((baseline_dir / recover::kJournalFilename).string());
-  if (!baseline_scan.has_value() || baseline_scan.value().frames < 16) {
+  // Derive journal-relative crash hits from the baseline's actual frames,
+  // so "late" tears near EOF and "last" hits the final checkpoint at every
+  // scale.
+  journal::JournalReader baseline_journal;
+  if (!baseline_journal.open((baseline_dir / recover::kJournalFilename).string()).is_ok() ||
+      baseline_journal.records().size() < 15) {
     std::cerr << "FAIL: baseline journal unusable for the crash matrix\n";
     return 1;
   }
-  const std::uint64_t frames = baseline_scan.value().frames;
-  std::size_t sidecars = 0;
-  for (const auto& entry : fs::directory_iterator(baseline_dir / recover::kCheckpointDir)) {
-    (void)entry;
-    ++sidecars;
+  const std::uint64_t frames = baseline_journal.records().size() + 1;  // + Header
+  std::uint64_t checkpoints = 0;
+  for (const auto& record : baseline_journal.records()) {
+    if (record.kind == journal::RecordKind::Checkpoint) ++checkpoints;
   }
 
   // --- Gate 2: the crash matrix ---------------------------------------------
   // Checkpoint frames hit crash.journal.checkpoint, not crash.journal.frame,
-  // so the frame point has only (frames - sidecars) hits before EOF.
-  const std::uint64_t frame_hits = frames - static_cast<std::uint64_t>(sidecars);
+  // so the frame point has only (frames - checkpoints) hits before EOF. The
+  // artifact points fire once per artifact: metrics.csv, weblog.csv,
+  // soc_report.txt, in that order.
+  const std::uint64_t frame_hits = frames - checkpoints;
   const std::vector<CrashCase> cases = {
       {"journal-frame early", fault::kCrashJournalFrame, 2},
       {"journal-frame mid", fault::kCrashJournalFrame, frame_hits / 2},
       {"journal-frame late", fault::kCrashJournalFrame, frame_hits - 2},
       {"journal-checkpoint", fault::kCrashJournalCheckpoint, 1},
-      {"artifact-body first sidecar", fault::kCrashArtifactBody, 1},
-      {"artifact-body first csv", fault::kCrashArtifactBody,
-       static_cast<std::uint64_t>(sidecars) + 1},
+      {"journal-checkpoint last", fault::kCrashJournalCheckpoint, checkpoints},
+      {"artifact-body first (metrics.csv)", fault::kCrashArtifactBody, 1},
+      {"artifact-body last (soc_report.txt)", fault::kCrashArtifactBody, 3},
       {"artifact-rename", fault::kCrashArtifactRename, 1},
       {"manifest commit", fault::kCrashManifestWrite, 1},
   };

@@ -7,7 +7,7 @@
 //   $ ./record_replay replay            out/run.journal out/replayed
 //   $ ./record_replay replay-checkpoint out/run.journal out/resumed
 //
-// Crash-consistency modes operate on a run DIRECTORY (journal + sidecar
+// Crash-consistency modes operate on a run DIRECTORY (journal with embedded
 // checkpoints + artifacts + manifest; see DESIGN.md §2.6) instead of a bare
 // journal file, and drive the CI kill loop:
 //

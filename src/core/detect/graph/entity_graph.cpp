@@ -386,24 +386,39 @@ void EntityGraph::restore(util::ByteReader& in) {
   intern_.restore(in);
   nodes_.clear();
   nodes_.resize(intern_.capacity() + 1);
-  const std::uint64_t node_count = in.u64();
-  for (std::uint64_t i = 0; i < node_count; ++i) {
+  // Wire sizes: id + type + 3 times + signals; edge = 2 ids + time.
+  constexpr std::size_t kNodeBytes = 4 + 1 + 3 * 8 + kSignalCount * 8;
+  constexpr std::size_t kEdgeBytes = 4 + 4 + 8;
+  const std::uint64_t node_count = in.count(kNodeBytes);
+  for (std::uint64_t i = 0; i < node_count && in.ok(); ++i) {
     const NodeId id = in.u32();
+    const std::uint8_t type = in.u8();
     GraphNode n;
-    n.type = static_cast<NodeType>(in.u8());
+    n.type = static_cast<NodeType>(type);
     n.first_seen = in.i64();
     n.last_seen = in.i64();
     for (double& s : n.signals) s = in.f64();
     n.signals_updated = in.i64();
-    if (id != 0 && id < nodes_.size()) nodes_[id] = n;
+    // A node is a live intern id, named once, of a known type.
+    if (!intern_.contains(id) || nodes_[id].has_value() ||
+        type > static_cast<std::uint8_t>(NodeType::Booking)) {
+      in.fail();
+      break;
+    }
+    nodes_[id] = n;
   }
   edges_.clear();
-  const std::uint64_t edge_count = in.u64();
-  for (std::uint64_t i = 0; i < edge_count; ++i) {
+  const std::uint64_t edge_count = in.count(kEdgeBytes);
+  for (std::uint64_t i = 0; i < edge_count && in.ok(); ++i) {
     const NodeId a = in.u32();
     const NodeId b = in.u32();
     const sim::SimTime last_seen = in.i64();
-    edges_.emplace(std::make_pair(a, b), last_seen);
+    // Edges join two live nodes, keyed (min, max) like connect() keys them.
+    if (a >= b || !alive(a) || !alive(b) ||
+        !edges_.emplace(std::make_pair(a, b), last_seen).second) {
+      in.fail();
+      break;
+    }
   }
   stats_.events_seen = in.u64();
   stats_.events_dropped = in.u64();

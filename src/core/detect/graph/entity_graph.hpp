@@ -200,7 +200,9 @@ class EntityGraph {
   // Byte-stable: intern table, then live nodes in id order, then edges in
   // key order, then counters. restore() reproduces the exact state (and the
   // exact intern-id assignment), so re-checkpointing restored state is
-  // byte-identical.
+  // byte-identical. A count the input cannot hold, a node that is not a live
+  // intern id or has an unknown type, and an edge between non-nodes each
+  // latch in.ok() false.
   void checkpoint(util::ByteWriter& out) const;
   void restore(util::ByteReader& in);
 

@@ -243,10 +243,11 @@ util::Result<JournalScan> scan_journal(const std::string& path) {
       scan.corrupt_mid_file = pos + kFrameHeader + len != bytes.size();
       break;
     }
-    if (scan.frames == 0 && !payload.empty() &&
-        static_cast<RecordKind>(static_cast<std::uint8_t>(payload[0])) == RecordKind::Header) {
-      scan.has_header = true;
-    }
+    util::ByteReader body(payload);
+    const auto kind = static_cast<RecordKind>(body.u8());
+    const sim::SimTime time = body.i64();
+    if (scan.frames == 0 && kind == RecordKind::Header) scan.has_header = true;
+    if (kind == RecordKind::Checkpoint && body.ok()) scan.last_checkpoint = time;
     ++scan.frames;
     pos += kFrameHeader + len;
   }

@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -105,6 +106,9 @@ struct JournalScan {
   bool has_header = false;         // first frame parsed as a Header record
   bool torn_tail = false;          // crash residue after the intact prefix at EOF
   bool corrupt_mid_file = false;   // CRC-bad frame *before* EOF: unrecoverable damage
+  // Time of the last intact Checkpoint frame: the newest restore point the
+  // intact prefix holds. Empty when no Checkpoint frame survived.
+  std::optional<sim::SimTime> last_checkpoint;
   [[nodiscard]] std::uint64_t tail_bytes() const { return total_bytes - intact_bytes; }
 };
 

@@ -1,12 +1,12 @@
 // Atomic artifact writes: the all-or-nothing half of crash consistency.
 //
-// Every run artifact (CSV exports, SOC reports, checkpoint sidecars, fleet
-// result shards) goes to disk through AtomicFile::write: the content lands in
-// `<name>.tmp`, is flushed, and only then renamed over the final name. A
-// crash therefore leaves either the complete old state or a `.tmp` residue
-// that recovery quarantines — never a half-written artifact under its final
-// name. The artifact's size and CRC32 are returned so the caller can record
-// them in the run manifest (the CRC lives there, not inside the artifact, so
+// Every run artifact (CSV exports, SOC reports, fleet result shards) goes to
+// disk through AtomicFile::write: the content lands in `<name>.tmp`, is
+// flushed, and only then renamed over the final name. A crash therefore
+// leaves either the complete old state or a `.tmp` residue that recovery
+// quarantines — never a half-written artifact under its final name. The
+// artifact's size and CRC32 are returned so the caller can record them in the
+// run manifest (the CRC lives there, not inside the artifact, so
 // crash-injection-off runs stay byte-identical to earlier releases).
 //
 // Crash injection: each write consults two fault points —

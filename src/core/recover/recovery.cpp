@@ -2,72 +2,15 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 
 #include "core/journal/journal.hpp"
+#include "core/recover/atomic_file.hpp"
 #include "core/recover/manifest.hpp"
-#include "util/archive.hpp"
-#include "util/hash.hpp"
 
 namespace fraudsim::recover {
 
 namespace fs = std::filesystem;
-
-std::string checkpoint_sidecar_path(const std::string& run_dir, sim::SimTime time) {
-  char name[64];
-  std::snprintf(name, sizeof(name), "cp-%012lld.fsc", static_cast<long long>(time));
-  return (fs::path(run_dir) / kCheckpointDir / name).string();
-}
-
-util::Result<WrittenArtifact> write_checkpoint_sidecar(const std::string& path,
-                                                       const SidecarCheckpoint& cp) {
-  util::ByteWriter w;
-  w.raw(std::string_view(kCheckpointMagic, sizeof(kCheckpointMagic)));
-  w.u32(kCheckpointVersion);
-  w.u64(cp.seed);
-  w.u64(cp.config_digest);
-  w.i64(cp.time);
-  w.u32(static_cast<std::uint32_t>(cp.blob.size()));
-  w.u32(util::crc32(cp.blob));
-  w.raw(cp.blob);
-  return AtomicFile::write(path, w.bytes(), cp.time);
-}
-
-util::Result<SidecarCheckpoint> read_checkpoint_sidecar(const std::string& path) {
-  using R = util::Result<SidecarCheckpoint>;
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) {
-    return R::fail(util::ErrorCode::kNotFound, "checkpoint: cannot open " + path);
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const std::string bytes = buf.str();
-
-  const auto bad = [&path](const std::string& why) {
-    return R::fail(util::ErrorCode::kCheckpointMismatch, "checkpoint: " + why + " in " + path);
-  };
-  if (bytes.size() < sizeof(kCheckpointMagic) ||
-      std::string_view(bytes.data(), sizeof(kCheckpointMagic)) !=
-          std::string_view(kCheckpointMagic, sizeof(kCheckpointMagic))) {
-    return bad("bad magic");
-  }
-  util::ByteReader r(std::string_view(bytes).substr(sizeof(kCheckpointMagic)));
-  const std::uint32_t version = r.u32();
-  SidecarCheckpoint cp;
-  cp.seed = r.u64();
-  cp.config_digest = r.u64();
-  cp.time = r.i64();
-  const std::uint32_t len = r.u32();
-  const std::uint32_t crc = r.u32();
-  if (!r.ok() || version != kCheckpointVersion) return bad("bad header");
-  if (r.remaining() != len) return bad("torn blob");
-  // Fixed header: 4 magic + 4 version + 8 seed + 8 digest + 8 time + 4 len
-  // + 4 crc = 40 bytes; the blob is everything after it.
-  cp.blob = bytes.substr(40);
-  if (util::crc32(cp.blob) != crc) return bad("blob CRC mismatch");
-  return R::ok(std::move(cp));
-}
 
 std::string RecoveryReport::render() const {
   std::ostringstream out;
@@ -89,10 +32,9 @@ std::string RecoveryReport::render() const {
     }
     out << "\n";
   }
-  out << "  checkpoint used: "
-      << (checkpoint_used.empty()
-              ? "none (cold start)"
-              : checkpoint_used + " @ " + sim::format_time(checkpoint_time))
+  out << "  checkpoint:      "
+      << (last_checkpoint ? "journal frame @ " + sim::format_time(*last_checkpoint)
+                          : std::string("none (replay from t=0)"))
       << "\n";
   out << "  artifacts:       " << intact_artifacts.size() << " intact, "
       << damaged_artifacts.size() << " damaged\n";
@@ -128,21 +70,11 @@ util::Result<RecoveryReport> RecoveryManager::run(bool mutate) const {
     fs::rename(root / rel, dest, move_ec);
   };
 
-  // Deterministic directory listing: sorted relative paths, one level of
-  // checkpoints/ nesting (the only subdirectory a run writes besides
-  // quarantine/, which is never rescanned).
+  // Deterministic directory listing: sorted file names. A run writes no
+  // subdirectory besides quarantine/, which is never rescanned.
   std::vector<std::string> files;
   for (const auto& entry : fs::directory_iterator(root, ec)) {
-    if (entry.is_directory()) {
-      if (entry.path().filename() == kQuarantineDir) continue;
-      for (const auto& sub : fs::directory_iterator(entry.path(), ec)) {
-        if (sub.is_regular_file()) {
-          files.push_back((entry.path().filename() / sub.path().filename()).string());
-        }
-      }
-    } else if (entry.is_regular_file()) {
-      files.push_back(entry.path().filename().string());
-    }
+    if (entry.is_regular_file()) files.push_back(entry.path().filename().string());
   }
   std::sort(files.begin(), files.end());
 
@@ -185,11 +117,13 @@ util::Result<RecoveryReport> RecoveryManager::run(bool mutate) const {
     report.frames_salvaged = scan.frames;
     report.journal_salvaged = scan.has_header && !scan.corrupt_mid_file;
     report.journal_corrupt_mid_file = scan.corrupt_mid_file;
+    report.last_checkpoint = scan.last_checkpoint;
     if (scan.corrupt_mid_file || (!scan.has_header && scan.frames == 0 && scan.torn_tail)) {
       // Unrecoverable at frame level (even the header is gone): keep the
       // whole file for forensics, recovery falls back to a full re-record.
       report.journal_salvaged = false;
       report.frames_salvaged = 0;
+      report.last_checkpoint.reset();
       quarantine_file(kJournalFilename);
     } else if (scan.torn_tail && !report.run_complete) {
       report.tail_bytes_quarantined = scan.tail_bytes();
@@ -206,21 +140,6 @@ util::Result<RecoveryReport> RecoveryManager::run(bool mutate) const {
     // Not even the magic survived.
     report.journal_corrupt_mid_file = true;
     quarantine_file(kJournalFilename);
-  }
-
-  // 4. Checkpoint sidecars: validate all, keep the newest intact one.
-  for (const auto& rel : files) {
-    if (rel.rfind(std::string(kCheckpointDir) + "/", 0) != 0) continue;
-    if (rel.size() < 4 || rel.compare(rel.size() - 4, 4, ".fsc") != 0) continue;
-    auto cp = read_checkpoint_sidecar((root / rel).string());
-    if (!cp) {
-      quarantine_file(rel);
-      continue;
-    }
-    if (cp.value().time >= report.checkpoint_time || report.checkpoint_used.empty()) {
-      report.checkpoint_used = rel;
-      report.checkpoint_time = cp.value().time;
-    }
   }
 
   return R::ok(std::move(report));

@@ -2,67 +2,38 @@
 //
 // Run-directory layout (written by scenario::record_run_dir / fleet_sweep):
 //
-//   run.journal                 append-only FSJ1 traffic journal
-//   checkpoints/cp-<time>.fsc   sidecar checkpoint blobs (format below)
+//   run.journal                 append-only FSJ1 traffic journal; its
+//                               Checkpoint frames are the run's restore points
 //   metrics.csv, weblog.csv,
 //   soc_report.txt, ...         plain artifacts, CRCs recorded in the manifest
 //   MANIFEST.fsm                CRC'd manifest, written LAST (the commit point)
 //   quarantine/                 forensic residue moved aside by recovery
 //
-// Sidecar checkpoint format (binary, little-endian via util::ByteWriter):
-//
-//   "FSC1" | u32 version | u64 seed | u64 config_digest | i64 sim_time_ms
-//          | u32 blob_len | u32 crc32(blob) | blob
-//
-// Sidecars duplicate the Checkpoint journal frames so recovery can restore
-// from the newest intact checkpoint even when the crash tore exactly the
-// journal frame that embedded it.
-//
 // RecoveryManager::repair() turns any crash residue into a verified state:
 // `.tmp` files and CRC-bad artifacts are moved to quarantine/, a torn journal
 // tail is truncated to the last good frame (tail bytes quarantined), and the
-// newest intact checkpoint is selected. What repair() cannot do is resume a
+// newest intact Checkpoint frame in the salvaged journal is reported as the
+// recovery anchor. A torn Checkpoint frame is just a torn tail: the anchor
+// falls back to the previous intact one. What repair() cannot do is resume a
 // live simulation mid-flight — traffic-generator closures are not
 // checkpointable — so scenario::recover_run() finishes the job: it verifies
-// the salvaged journal prefix by checkpoint-anchored replay, then re-records
+// the salvaged journal prefix by replay from that anchor, then re-records
 // deterministically and proves the salvaged prefix byte-matches the fresh
 // journal. The result is byte-identical to an uninterrupted run.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
-#include "core/recover/atomic_file.hpp"
 #include "sim/time.hpp"
 #include "util/result.hpp"
 
 namespace fraudsim::recover {
 
 inline constexpr char kJournalFilename[] = "run.journal";
-inline constexpr char kCheckpointDir[] = "checkpoints";
 inline constexpr char kQuarantineDir[] = "quarantine";
-inline constexpr char kCheckpointMagic[4] = {'F', 'S', 'C', '1'};
-inline constexpr std::uint32_t kCheckpointVersion = 1;
-
-struct SidecarCheckpoint {
-  std::uint64_t seed = 0;
-  std::uint64_t config_digest = 0;
-  sim::SimTime time = 0;
-  std::string blob;  // platform state, same bytes as the Checkpoint journal record
-};
-
-// `<dir>/checkpoints/cp-<time>.fsc`.
-[[nodiscard]] std::string checkpoint_sidecar_path(const std::string& run_dir, sim::SimTime time);
-
-// Atomic write (consults the artifact crash points). Returns size/CRC of the
-// encoded sidecar for manifest registration.
-[[nodiscard]] util::Result<WrittenArtifact> write_checkpoint_sidecar(const std::string& path,
-                                                                     const SidecarCheckpoint& cp);
-
-// Strict read: bad magic/version/CRC or a short blob fails with
-// kCheckpointMismatch.
-[[nodiscard]] util::Result<SidecarCheckpoint> read_checkpoint_sidecar(const std::string& path);
 
 // Everything scan()/repair() learned about the directory, renderable for the
 // crash_drill CLI and SOC-style reports.
@@ -78,8 +49,9 @@ struct RecoveryReport {
   std::vector<std::string> intact_artifacts;    // manifest-verified, relative paths
   std::vector<std::string> damaged_artifacts;   // missing or CRC-mismatched
   std::vector<std::string> quarantined;         // files moved to quarantine/ (relative)
-  std::string checkpoint_used;         // sidecar filename, "" = cold start
-  sim::SimTime checkpoint_time = 0;
+  // Time of the newest intact Checkpoint frame in the salvaged journal: the
+  // state a verification replay restores. Empty = replay from t=0.
+  std::optional<sim::SimTime> last_checkpoint;
 
   [[nodiscard]] std::string render() const;
 };
@@ -92,9 +64,9 @@ class RecoveryManager {
   // would quarantine. Never modifies the directory.
   [[nodiscard]] util::Result<RecoveryReport> scan() const;
 
-  // Destructive repair: quarantines `.tmp` residue, damaged artifacts and
-  // torn/invalid checkpoints, truncates a torn journal tail (tail bytes to
-  // quarantine/run.journal.tail), and picks the newest intact checkpoint.
+  // Destructive repair: quarantines `.tmp` residue and damaged artifacts,
+  // truncates a torn journal tail (tail bytes to quarantine/run.journal.tail),
+  // and reports the newest intact Checkpoint frame as the anchor.
   // After a successful repair every byte left outside quarantine/ is
   // verified. Idempotent: repairing a repaired directory changes nothing.
   [[nodiscard]] util::Result<RecoveryReport> repair() const;

@@ -211,22 +211,15 @@ std::string checkpoint_state(Platform& p) {
   return state.take();
 }
 
-// `on_checkpoint` (optional) runs after the blob is journalled — the hook
-// record_run_dir uses to duplicate each checkpoint as an atomic sidecar.
 void schedule_checkpoint_loop(Platform& p, const RecordedScenarioConfig& config,
-                              journal::RecordingJournal& recording,
-                              const std::function<void(sim::SimTime, const std::string&)>&
-                                  on_checkpoint = nullptr) {
+                              journal::RecordingJournal& recording) {
   Env& env = *p.env;
   if (config.checkpoint_every <= 0) return;
   if (env.sim.now() + config.checkpoint_every > config.horizon) return;
-  env.sim.schedule_in(config.checkpoint_every,
-                      [&p, &env, &config, &recording, on_checkpoint] {
-                        const std::string blob = checkpoint_state(p);
-                        recording.checkpoint_blob(env.sim.now(), blob);
-                        if (on_checkpoint) on_checkpoint(env.sim.now(), blob);
-                        schedule_checkpoint_loop(p, config, recording, on_checkpoint);
-                      });
+  env.sim.schedule_in(config.checkpoint_every, [&p, &env, &config, &recording] {
+    recording.checkpoint_blob(env.sim.now(), checkpoint_state(p));
+    schedule_checkpoint_loop(p, config, recording);
+  });
 }
 
 // Artifact production must be one code path for every mode: record and
@@ -613,74 +606,22 @@ util::Result<RunArtifacts> record_run_dir(const RecordedScenarioConfig& config,
   using R = util::Result<RunArtifacts>;
   namespace fs = std::filesystem;
   std::error_code ec;
-  fs::create_directories(fs::path(run_dir) / recover::kCheckpointDir, ec);
+  fs::create_directories(run_dir, ec);
   if (ec) {
     return R::fail(util::ErrorCode::kIoWriteFailed,
                    "record: cannot create run directory " + run_dir + ": " + ec.message());
   }
   const std::string journal_path = (fs::path(run_dir) / recover::kJournalFilename).string();
-  const std::uint64_t digest = config_digest(config);
 
   try {
-    Platform p = build_platform(config);
-    begin_live_invariants(p, config);
-    Env& env = *p.env;
+    auto recorded = record_run(config, journal_path);
+    if (!recorded) return recorded;
+    RunArtifacts artifacts = std::move(recorded.value());
 
-    journal::JournalWriter writer;
-    if (auto s = writer.open(journal_path, config.seed, digest); !s.is_ok()) {
-      return R::fail(s.code(), s.error());
-    }
-    journal::RecordingJournal recording(writer);
-    env.app.set_journal(&recording);
-    env.actors.set_observer([&env, &recording](web::ActorId id, app::ActorKind kind) {
-      recording.actor_registered(env.sim.now(), id, kind);
-    });
-
-    // Each journalled checkpoint is duplicated as an atomic sidecar so
-    // recovery can anchor on it even when the crash tore the journal frame
-    // that embedded the very same blob.
-    std::vector<std::pair<std::string, recover::WrittenArtifact>> sidecars;
-    util::Status sidecar_status = util::Status::ok();
-    const auto write_sidecar = [&run_dir, &config, digest, &sidecars,
-                                &sidecar_status](sim::SimTime now, const std::string& blob) {
-      recover::SidecarCheckpoint cp;
-      cp.seed = config.seed;
-      cp.config_digest = digest;
-      cp.time = now;
-      cp.blob = blob;
-      const std::string path = recover::checkpoint_sidecar_path(run_dir, now);
-      auto written = recover::write_checkpoint_sidecar(path, cp);
-      if (!written) {
-        if (sidecar_status.is_ok()) {
-          sidecar_status = util::Status::fail(written.code(), written.error());
-        }
-        return;
-      }
-      const std::string rel = std::string(recover::kCheckpointDir) + "/" +
-                              fs::path(path).filename().string();
-      sidecars.emplace_back(rel, written.value());
-    };
-
-    std::unique_ptr<SeatSpinScript> attacker;
-    start_traffic(p, config, attacker, &recording);
-    schedule_checkpoint_loop(p, config, recording, write_sidecar);
-    env.run_until(config.horizon);
-
-    env.app.set_journal(nullptr);
-    env.actors.set_observer(nullptr);
-    if (!recording.status().is_ok()) {
-      return R::fail(recording.status().code(), recording.status().error());
-    }
-    if (auto s = writer.close(); !s.is_ok()) return R::fail(s.code(), s.error());
-    if (!sidecar_status.is_ok()) return R::fail(sidecar_status.code(), sidecar_status.error());
-
-    RunArtifacts artifacts = make_artifacts(p, config);
-    finish_live_invariants(p, config, artifacts);
-
-    // Manifest entries in layout order: journal, sidecars, then artifacts.
+    // Manifest entries in layout order: journal, then artifacts.
     recover::Manifest manifest;
     manifest.seed = config.seed;
-    manifest.config_digest = digest;
+    manifest.config_digest = config_digest(config);
     {
       std::ifstream in(journal_path, std::ios::binary);
       std::ostringstream buf;
@@ -692,7 +633,6 @@ util::Result<RunArtifacts> record_run_dir(const RecordedScenarioConfig& config,
       manifest.add(recover::kJournalFilename, journal_bytes.size(),
                    util::crc32(journal_bytes));
     }
-    for (const auto& [rel, written] : sidecars) manifest.add(written, rel);
 
     const auto emit = [&](const char* rel, const std::string& content) -> util::Status {
       auto written = recover::AtomicFile::write((fs::path(run_dir) / rel).string(), content,
@@ -784,30 +724,6 @@ util::Result<RecoverOutcome> recover_run(const RecordedScenarioConfig& config,
     if (!verified) {
       return R::fail(verified.code(),
                      "recover: salvaged journal failed verification replay: " + verified.error());
-    }
-    // Cross-check the newest intact sidecar against its embedded twin (when
-    // the twin's frame survived): both copies of a checkpoint must agree.
-    if (!outcome.report.checkpoint_used.empty()) {
-      auto cp = recover::read_checkpoint_sidecar(
-          (fs::path(run_dir) / outcome.report.checkpoint_used).string());
-      if (cp) {
-        if (cp.value().seed != config.seed || cp.value().config_digest != digest) {
-          return R::fail(util::ErrorCode::kManifestMismatch,
-                         "recover: sidecar checkpoint belongs to a different scenario");
-        }
-        for (const auto& record : reader.records()) {
-          if (record.kind != journal::RecordKind::Checkpoint ||
-              record.time != cp.value().time) {
-            continue;
-          }
-          util::ByteReader fields(record.fields);
-          if (fields.str() != cp.value().blob) {
-            return R::fail(util::ErrorCode::kCheckpointMismatch,
-                           "recover: sidecar and embedded checkpoint blobs differ at t=" +
-                               std::to_string(record.time));
-          }
-        }
-      }
     }
   }
 

@@ -158,12 +158,11 @@ struct ReplayOptions {
 // --- Crash-consistent run directories --------------------------------------
 //
 // record_run_dir is record_run with the full crash-consistency discipline:
-// the journal lands at `<run_dir>/run.journal`, every embedded checkpoint is
-// duplicated as an atomic sidecar under checkpoints/, the CSV/SOC artifacts
-// are written through recover::AtomicFile, and a CRC'd MANIFEST.fsm is
-// written LAST as the commit point. When an armed crash point fires the
-// partial state stays on disk exactly as a kill would leave it and the call
-// fails with kCrashInjected.
+// the journal (checkpoints embedded) lands at `<run_dir>/run.journal`, the
+// CSV/SOC artifacts are written through recover::AtomicFile, and a CRC'd
+// MANIFEST.fsm is written LAST as the commit point. When an armed crash point
+// fires the partial state stays on disk exactly as a kill would leave it and
+// the call fails with kCrashInjected.
 [[nodiscard]] util::Result<RunArtifacts> record_run_dir(const RecordedScenarioConfig& config,
                                                         const std::string& run_dir);
 
@@ -176,10 +175,10 @@ struct RecoverOutcome {
 
 // Startup recovery to a state byte-identical to an uninterrupted run:
 // repair the directory (RecoveryManager), verify the salvaged journal prefix
-// by checkpoint-anchored replay and cross-check the newest sidecar against
-// its embedded twin, then deterministically re-record and prove the salvaged
-// bytes are a prefix of the fresh journal. A directory whose manifest
-// validates is not re-recorded — its journal is replay-verified instead.
+// by replay from its newest intact Checkpoint frame, then deterministically
+// re-record and prove the salvaged bytes are a prefix of the fresh journal.
+// A directory whose manifest validates is not re-recorded — its journal is
+// replay-verified instead.
 [[nodiscard]] util::Result<RecoverOutcome> recover_run(const RecordedScenarioConfig& config,
                                                        const std::string& run_dir);
 

@@ -67,6 +67,15 @@ class ByteReader {
     return out;
   }
 
+  // Reads a u64 element count and fails when the remaining bytes cannot hold
+  // that many elements of at least `min_elem_bytes` each, so a hostile count
+  // can never drive an allocation or a loop past the size of the input.
+  [[nodiscard]] std::uint64_t count(std::size_t min_elem_bytes) {
+    const std::uint64_t n = u64();
+    if (ok_ && n > remaining() / min_elem_bytes) ok_ = false;
+    return ok_ ? n : 0;
+  }
+
   // True while every read so far stayed in bounds.
   [[nodiscard]] bool ok() const { return ok_; }
   // True when the payload was consumed exactly (no trailing garbage).

@@ -59,21 +59,31 @@ void InternTable::checkpoint(ByteWriter& out) const {
 
 void InternTable::restore(ByteReader& in) {
   clear();
-  const auto slot_count = in.u64();
-  if (!in.ok()) return;
+  // Each slot takes at least its presence byte, each free id its u32.
+  const auto slot_count = in.count(1);
   slots_.resize(static_cast<std::size_t>(slot_count), nullptr);
   for (std::uint64_t i = 0; i < slot_count && in.ok(); ++i) {
-    if (in.boolean()) {
-      auto [it, inserted] = ids_.emplace(in.str(), static_cast<Id>(i + 1));
-      (void)inserted;
-      slots_[static_cast<std::size_t>(i)] = &it->first;
-    }
+    if (!in.boolean()) continue;
+    auto [it, inserted] = ids_.emplace(in.str(), static_cast<Id>(i + 1));
+    if (!inserted) in.fail();  // two ids for one key
+    slots_[static_cast<std::size_t>(i)] = &it->first;
   }
-  const auto free_count = in.u64();
+  // The free list must name every empty slot exactly once and nothing else,
+  // or a later intern() would reuse a live id or index past slots_.
+  const auto free_count = in.count(4);
+  if (in.ok() && free_count != slots_.size() - ids_.size()) in.fail();
+  std::vector<bool> freed(slots_.size(), false);
   free_.reserve(static_cast<std::size_t>(free_count));
   for (std::uint64_t i = 0; i < free_count && in.ok(); ++i) {
-    free_.push_back(static_cast<Id>(in.u32()));
+    const Id id = static_cast<Id>(in.u32());
+    if (id == 0 || id > slots_.size() || slots_[id - 1] != nullptr || freed[id - 1]) {
+      in.fail();
+      break;
+    }
+    freed[id - 1] = true;
+    free_.push_back(id);
   }
+  if (!in.ok()) clear();
 }
 
 }  // namespace fraudsim::util

@@ -61,7 +61,9 @@ class InternTable {
   void clear();
 
   // Byte-stable serialisation: slots in id order, then the free list. A
-  // restore reproduces every live string under its original id.
+  // restore reproduces every live string under its original id. A frame with
+  // a duplicate key, or a free list that is not exactly the empty slots,
+  // latches in.ok() false and leaves the table empty.
   void checkpoint(ByteWriter& out) const;
   void restore(ByteReader& in);
 

@@ -9,7 +9,8 @@
 //   * TTL maintenance retires idle entities, EWMAs decay with the configured
 //     half-life;
 //   * checkpoint/restore reproduces the exact state — intern ids, partition,
-//     stats — byte-for-byte, mid-run and at rest;
+//     stats — byte-for-byte, mid-run and at rest, and rejects hostile frames
+//     (huge counts, dead ids, bad types, dangling edges) with ok() false;
 //   * the component detector flags a ring-shaped component but not diffuse
 //     legitimate traffic, and its vectorized score_batch is byte-identical
 //     to the scalar adapter;
@@ -19,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <sstream>
 #include <string>
@@ -31,6 +33,7 @@
 #include "core/scenario/replay_harness.hpp"
 #include "sim/rng.hpp"
 #include "util/archive.hpp"
+#include "util/intern.hpp"
 
 namespace fraudsim {
 namespace {
@@ -260,6 +263,91 @@ TEST(EntityGraph, MidRunRestoreContinuesIdentically) {
   drive(original, rng, now, 300);
   drive(resumed, tail_rng, tail_now, 300);
   EXPECT_EQ(checkpoint_bytes(resumed), checkpoint_bytes(original));
+}
+
+// Hostile restore frames, hand-written in the checkpoint layout: `keys` are
+// interned as ids 1..n, then the given node and edge records, then stats.
+struct NodeRecord {
+  std::uint32_t id;
+  std::uint8_t type;
+};
+struct EdgeRecord {
+  std::uint32_t a;
+  std::uint32_t b;
+};
+
+std::string graph_frame(const std::vector<std::string>& keys,
+                        const std::vector<NodeRecord>& nodes,
+                        const std::vector<EdgeRecord>& edges) {
+  util::InternTable intern;
+  for (const auto& key : keys) (void)intern.intern(key);
+  util::ByteWriter out;
+  intern.checkpoint(out);
+  out.u64(nodes.size());
+  for (const auto& n : nodes) {
+    out.u32(n.id);
+    out.u8(n.type);
+    for (int i = 0; i < 3 + static_cast<int>(detect::graph::kSignalCount); ++i) out.u64(0);
+  }
+  out.u64(edges.size());
+  for (const auto& e : edges) {
+    out.u32(e.a);
+    out.u32(e.b);
+    out.i64(0);
+  }
+  for (int i = 0; i < 8; ++i) out.u64(0);  // seven stats counters + next maintenance
+  return out.take();
+}
+
+bool restores(const std::string& frame) {
+  EntityGraph graph;
+  util::ByteReader in(frame);
+  graph.restore(in);
+  return in.ok();
+}
+
+TEST(EntityGraph, RestoreAcceptsTheHandWrittenFrameLayout) {
+  const std::string frame = graph_frame({"s", "fp"}, {{1, 0}, {2, 1}}, {{1, 2}});
+  EntityGraph graph;
+  util::ByteReader in(frame);
+  graph.restore(in);
+  EXPECT_TRUE(in.exhausted());
+  EXPECT_EQ(graph.edge_count(), 1u);
+  EXPECT_EQ(graph.component_of(2), graph.component_of(1));
+}
+
+TEST(EntityGraph, RestoreRejectsHugeCountsPromptly) {
+  const auto started = std::chrono::steady_clock::now();
+  for (int which = 0; which < 2; ++which) {
+    util::ByteWriter out;
+    util::InternTable().checkpoint(out);
+    if (which == 1) out.u64(0);  // no nodes, then the hostile edge count
+    out.u64(std::uint64_t{1} << 40);
+    EXPECT_FALSE(restores(out.bytes())) << which;
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - started, std::chrono::seconds(1));
+}
+
+TEST(EntityGraph, RestoreRejectsNodesThatAreNotLiveInternIds) {
+  EXPECT_FALSE(restores(graph_frame({"s"}, {{0, 0}}, {})));
+  EXPECT_FALSE(restores(graph_frame({"s"}, {{2, 0}}, {})));
+  EXPECT_FALSE(restores(graph_frame({"s"}, {{1, 0}, {1, 0}}, {})));
+}
+
+TEST(EntityGraph, RestoreRejectsAnOutOfRangeNodeType) {
+  const auto bad = static_cast<std::uint8_t>(NodeType::Booking) + 1;
+  EXPECT_FALSE(restores(graph_frame({"s"}, {{1, static_cast<std::uint8_t>(bad)}}, {})));
+}
+
+TEST(EntityGraph, RestoreRejectsEdgesWhoseEndpointsAreNotLiveNodes) {
+  // Key 3 is interned but carries no node record.
+  const std::vector<std::string> keys = {"s", "fp", "ip"};
+  const std::vector<NodeRecord> nodes = {{1, 0}, {2, 1}};
+  EXPECT_FALSE(restores(graph_frame(keys, nodes, {{1, 3}})));
+  EXPECT_FALSE(restores(graph_frame(keys, nodes, {{1, 9}})));
+  EXPECT_FALSE(restores(graph_frame(keys, nodes, {{1, 1}})));
+  EXPECT_FALSE(restores(graph_frame(keys, nodes, {{2, 1}})));  // not keyed (min, max)
+  EXPECT_FALSE(restores(graph_frame(keys, nodes, {{1, 2}, {1, 2}})));
 }
 
 // --- GraphDetector -----------------------------------------------------------

@@ -4,7 +4,8 @@
 //   * batched score_batch == the scalar adapter the detect.batch.run fault
 //     falls back to, byte-for-byte, across seeds and epoch configs
 //   * util::Arena reset/reuse semantics and allocation accounting
-//   * util::InternTable id recycling and exact-id checkpoint/restore
+//   * util::InternTable id recycling and exact-id checkpoint/restore, and
+//     restore rejecting hostile frames
 //   * SlidingWindowRateLimiter agrees with a string-keyed reference model on
 //     every decision, tally and checkpoint byte
 //   * RuleEngine rate keys equal the canonical public renderings
@@ -198,6 +199,74 @@ TEST(InternTable, CheckpointRestoresExactIdAssignment) {
   util::ByteWriter out2;
   round.checkpoint(out2);
   EXPECT_EQ(out2.bytes(), frame);
+}
+
+// Hostile restore frames: each must latch ok() false and leave the table
+// empty and usable, never throw, crash or keep a broken id assignment.
+struct InternSlot {
+  bool live;
+  std::string key;
+};
+
+std::string intern_frame(const std::vector<InternSlot>& slots,
+                         const std::vector<std::uint32_t>& free_ids) {
+  util::ByteWriter out;
+  out.u64(slots.size());
+  for (const auto& slot : slots) {
+    out.boolean(slot.live);
+    if (slot.live) out.str(slot.key);
+  }
+  out.u64(free_ids.size());
+  for (const auto id : free_ids) out.u32(id);
+  return out.take();
+}
+
+void expect_rejected(const std::string& frame) {
+  util::InternTable table;
+  util::ByteReader in(frame);
+  table.restore(in);
+  EXPECT_FALSE(in.ok());
+  EXPECT_EQ(table.size(), 0u);
+  EXPECT_EQ(table.capacity(), 0u);
+  EXPECT_EQ(table.intern("fresh"), 1u);
+}
+
+TEST(InternTable, RestoreAcceptsTheHandWrittenFrameLayout) {
+  const std::string frame = intern_frame({{true, "a"}, {false, ""}, {true, "b"}}, {2});
+  util::InternTable table;
+  util::ByteReader in(frame);
+  table.restore(in);
+  EXPECT_TRUE(in.exhausted());
+  EXPECT_EQ(table.find("b"), 3u);
+  EXPECT_EQ(table.intern("c"), 2u);
+}
+
+TEST(InternTable, RestoreRejectsASlotCountBeyondTheInput) {
+  util::ByteWriter out;
+  out.u64(std::uint64_t{1} << 40);
+  expect_rejected(out.bytes());
+}
+
+TEST(InternTable, RestoreRejectsADuplicateKey) {
+  expect_rejected(intern_frame({{true, "a"}, {true, "a"}}, {}));
+}
+
+TEST(InternTable, RestoreRejectsAnOutOfRangeFreeId) {
+  expect_rejected(intern_frame({}, {99}));
+  expect_rejected(intern_frame({{false, ""}}, {99}));
+  expect_rejected(intern_frame({{false, ""}}, {0}));
+}
+
+TEST(InternTable, RestoreRejectsAFreeIdNamingALiveSlot) {
+  expect_rejected(intern_frame({{true, "a"}, {false, ""}}, {1}));
+}
+
+TEST(InternTable, RestoreRejectsARepeatedFreeId) {
+  expect_rejected(intern_frame({{false, ""}, {false, ""}}, {1, 1}));
+}
+
+TEST(InternTable, RestoreRejectsAFreeListMissingAnEmptySlot) {
+  expect_rejected(intern_frame({{false, ""}, {true, "a"}, {false, ""}}, {1}));
 }
 
 // --- Rate limiter -----------------------------------------------------------

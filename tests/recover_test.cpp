@@ -1,7 +1,7 @@
 // Crash-consistency & recovery subsystem: atomic artifact writes, the CRC'd
-// run manifest, sidecar checkpoints, RecoveryManager repair, and the
-// end-to-end guarantee — a run crashed at any I/O boundary recovers to a
-// directory byte-identical to an uninterrupted one.
+// run manifest, RecoveryManager repair anchored on the journal's Checkpoint
+// frames, and the end-to-end guarantee — a run crashed at any I/O boundary
+// recovers to a directory byte-identical to an uninterrupted one.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -160,33 +160,6 @@ TEST_F(RecoverTest, AuditFlagsMissingAndMismatchedArtifacts) {
   EXPECT_EQ(audit.mismatched, std::vector<std::string>{"bad.csv"});
 }
 
-// --- Sidecar checkpoints -----------------------------------------------------
-
-TEST_F(RecoverTest, SidecarCheckpointRoundTripsAndRejectsTampering) {
-  recover::SidecarCheckpoint cp;
-  cp.seed = 11;
-  cp.config_digest = 22;
-  cp.time = sim::hours(3);
-  cp.blob = std::string("\x00\x01platform-state-blob", 21);
-  const std::string path = (dir_ / "cp.fsc").string();
-  ASSERT_TRUE(recover::write_checkpoint_sidecar(path, cp).has_value());
-
-  const auto read = recover::read_checkpoint_sidecar(path);
-  ASSERT_TRUE(read.has_value());
-  EXPECT_EQ(read.value().seed, 11u);
-  EXPECT_EQ(read.value().config_digest, 22u);
-  EXPECT_EQ(read.value().time, sim::hours(3));
-  EXPECT_EQ(read.value().blob, cp.blob);
-
-  std::string bytes = slurp(path);
-  bytes.back() = static_cast<char>(bytes.back() ^ 0xFF);
-  spit(path, bytes);
-  EXPECT_EQ(recover::read_checkpoint_sidecar(path).code(),
-            util::ErrorCode::kCheckpointMismatch);
-  spit(path, slurp(path).substr(0, 10));
-  EXPECT_FALSE(recover::read_checkpoint_sidecar(path).has_value());
-}
-
 // --- RecoveryManager ---------------------------------------------------------
 
 TEST_F(RecoverTest, RepairQuarantinesResidueAndTruncatesTornJournal) {
@@ -274,15 +247,26 @@ TEST_F(RecoverTest, RecordRunDirCommitsAManifestCoveringEveryArtifact) {
   EXPECT_EQ(manifest.value().seed, config.seed);
   EXPECT_EQ(manifest.value().config_digest, scenario::config_digest(config));
   EXPECT_TRUE(recover::audit_artifacts(manifest.value(), dir_.string()).clean());
+  EXPECT_EQ(manifest.value().artifacts.size(), 4u);
   for (const char* name : {"run.journal", "metrics.csv", "weblog.csv", "soc_report.txt"}) {
     EXPECT_NE(manifest.value().find(name), nullptr) << name;
   }
-  // Two embedded checkpoints (2h cadence, 6h horizon) → two sidecars.
-  EXPECT_NE(manifest.value().find("checkpoints/cp-000007200000.fsc"), nullptr);
+  // The journal is the only copy of the platform state: no checkpoint files.
+  EXPECT_FALSE(fs::exists(dir_ / "checkpoints"));
+
+  // Three embedded checkpoints (2h cadence, 6h horizon), the newest at 6h.
+  journal::JournalReader reader;
+  ASSERT_TRUE(reader.open((dir_ / recover::kJournalFilename).string()).is_ok());
+  std::size_t checkpoints = 0;
+  for (const auto& record : reader.records()) {
+    if (record.kind == journal::RecordKind::Checkpoint) ++checkpoints;
+  }
+  EXPECT_EQ(checkpoints, 3u);
 
   const auto scanned = recover::RecoveryManager(dir_.string()).scan();
   ASSERT_TRUE(scanned.has_value());
   EXPECT_TRUE(scanned.value().run_complete);
+  EXPECT_EQ(scanned.value().last_checkpoint, sim::hours(6));
 
   // Crash-off identity: the crash-consistency plumbing must not perturb the
   // simulation — artifact bytes equal the journal-free baseline's.
@@ -337,6 +321,37 @@ TEST_F(RecoverTest, CrashAtEveryBoundaryRecoversByteIdentically) {
          {"run.journal", "metrics.csv", "weblog.csv", "soc_report.txt", "MANIFEST.fsm"}) {
       EXPECT_EQ(slurp(crashed / name), slurp(baseline / name)) << c.label << "/" << name;
     }
+  }
+}
+
+TEST_F(RecoverTest, TornNewestCheckpointFrameRecoversFromThePreviousOne) {
+  const auto config = small_config();  // checkpoints at 2h, 4h and 6h
+  const fs::path baseline = dir_ / "baseline";
+  fs::create_directories(baseline);
+  ASSERT_TRUE(scenario::record_run_dir(config, baseline.string()).has_value());
+
+  // Tear the 4h Checkpoint frame mid-append, the newest one the run reached:
+  // the journal's newest intact restore point is now the 2h one.
+  const fs::path crashed = dir_ / "crashed";
+  fs::create_directories(crashed);
+  fault::FaultRegistry::global().arm(fault::kCrashJournalCheckpoint,
+                                     fault::FaultScenario::crash_at_hit(2));
+  const auto torn = scenario::record_run_dir(config, crashed.string());
+  ASSERT_FALSE(torn.has_value());
+  ASSERT_EQ(torn.code(), util::ErrorCode::kCrashInjected);
+
+  const auto scanned = recover::RecoveryManager(crashed.string()).scan();
+  ASSERT_TRUE(scanned.has_value());
+  EXPECT_GT(scanned.value().tail_bytes_quarantined, 0u);
+  EXPECT_EQ(scanned.value().last_checkpoint, sim::hours(2));
+
+  const auto outcome = scenario::recover_run(config, crashed.string());
+  ASSERT_TRUE(outcome.has_value()) << outcome.error();
+  EXPECT_TRUE(outcome.value().prefix_verified);
+  EXPECT_EQ(outcome.value().report.last_checkpoint, sim::hours(2));
+  for (const char* name :
+       {"run.journal", "metrics.csv", "weblog.csv", "soc_report.txt", "MANIFEST.fsm"}) {
+    EXPECT_EQ(slurp(crashed / name), slurp(baseline / name)) << name;
   }
 }
 
