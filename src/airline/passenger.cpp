@@ -36,8 +36,17 @@ std::string party_key(const std::vector<Passenger>& party) {
   std::vector<std::string> keys;
   keys.reserve(party.size());
   for (const auto& p : party) keys.push_back(p.name_key());
-  std::sort(keys.begin(), keys.end());
-  return util::join(keys, "+");
+  return party_key(std::vector<std::string_view>(keys.begin(), keys.end()));
+}
+
+std::string party_key(std::vector<std::string_view> name_keys) {
+  std::sort(name_keys.begin(), name_keys.end());
+  std::string out;
+  for (std::size_t i = 0; i < name_keys.size(); ++i) {
+    if (i != 0) out += '+';
+    out += name_keys[i];
+  }
+  return out;
 }
 
 }  // namespace fraudsim::airline

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "airline/date.hpp"
@@ -29,6 +30,8 @@ struct Passenger {
 // Two bookings holding the same people in a different order share this key —
 // the signature of the manual attack in §IV-B (Airline C).
 [[nodiscard]] std::string party_key(const std::vector<Passenger>& party);
+// The same key from the party's name keys, for callers that built them.
+[[nodiscard]] std::string party_key(std::vector<std::string_view> name_keys);
 
 // Wire serialisation (journal records, state checkpoints).
 void save_passenger(util::ByteWriter& out, const Passenger& p);

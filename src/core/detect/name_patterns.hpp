@@ -50,13 +50,20 @@ class NamePatternAnalyzer {
   explicit NamePatternAnalyzer(NamePatternConfig config = {});
 
   // Analyzes all reservations (typically: one flight's, or a time window's).
+  // One pass builds each passenger's name key once and groups by name key,
+  // birthdate and party; gibberish is scored once per distinct name string.
+  // The misspelling search compares each repeated name key only with keys
+  // whose length is within 1 (one sort by length, one equal_range per key),
+  // through the O(len) one-edit check, so the cost grows with the window
+  // and the repeated keys' length buckets, not with all pairs of names.
   [[nodiscard]] NamePatternFindings analyze(
       const std::vector<const airline::Reservation*>& reservations) const;
   [[nodiscard]] NamePatternFindings analyze(
       const std::vector<airline::Reservation>& reservations) const;
 
-  // Emits one alert per flagged PNR.
-  void analyze(const std::vector<airline::Reservation>& reservations, AlertSink& sink) const;
+  // Emits one alert per flagged PNR, signal by signal in PNR order.
+  void analyze(const std::vector<const airline::Reservation*>& reservations,
+               AlertSink& sink) const;
 
   [[nodiscard]] const NamePatternConfig& config() const { return config_; }
 

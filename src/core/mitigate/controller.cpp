@@ -66,9 +66,9 @@ void MitigationController::sweep() {
   // legitimate users).
   detect::AlertSink sink;
   nip_detector_.analyze(app_.inventory().reservations(), from, now, sink);
-  std::vector<airline::Reservation> window;
+  std::vector<const airline::Reservation*> window;
   for (const auto& r : app_.inventory().reservations()) {
-    if (r.created >= from && r.created < now) window.push_back(r);
+    if (r.created >= from && r.created < now) window.push_back(&r);
   }
   name_analyzer_.analyze(window, sink);
   if (config_.block_flagged_fingerprints) {
@@ -193,32 +193,42 @@ void MitigationController::checkpoint(util::ByteWriter& out) const {
 }
 
 void MitigationController::restore(util::ByteReader& in) {
+  // Counts are bounded by the bytes left (a NiP entry, a hash entry and a
+  // biometric tally are 16 bytes, a PNR at least 4, an action at least 16).
+  // checkpoint() writes every keyed list in strictly ascending key order, so
+  // a repeated or out-of-order key is corrupt, not two tallies to merge.
   analytics::CategoricalHistogram<int> baseline;
-  const auto baseline_entries = in.u64();
+  const auto baseline_entries = in.count(16);
   for (std::uint64_t i = 0; i < baseline_entries && in.ok(); ++i) {
     const int nip = static_cast<int>(in.i64());
+    if (baseline.entries().contains(nip)) in.fail();
     baseline.add(nip, in.u64());
   }
   nip_detector_.fit_baseline(baseline);
   until_ = in.i64();
   flagged_pnrs_.clear();
-  const auto flagged = in.u64();
+  const auto flagged = in.count(16);
+  std::uint64_t previous = 0;
   for (std::uint64_t i = 0; i < flagged && in.ok(); ++i) {
-    const fp::FpHash hash{in.u64()};
-    auto& pnrs = flagged_pnrs_[hash];
-    const auto count = in.u64();
+    const std::uint64_t hash = in.u64();
+    if (i > 0 && hash <= previous) in.fail();
+    previous = hash;
+    auto& pnrs = flagged_pnrs_[fp::FpHash{hash}];
+    const auto count = in.count(4);
     for (std::uint64_t p = 0; p < count && in.ok(); ++p) pnrs.insert(in.str());
   }
   biometric_detector_.restore(in);
   biometric_cursor_ = in.u64();
   biometric_hits_.clear();
-  const auto hits = in.u64();
+  const auto hits = in.count(16);
   for (std::uint64_t i = 0; i < hits && in.ok(); ++i) {
-    const fp::FpHash hash{in.u64()};
-    biometric_hits_[hash] = in.u64();
+    const std::uint64_t hash = in.u64();
+    if (i > 0 && hash <= previous) in.fail();
+    previous = hash;
+    biometric_hits_[fp::FpHash{hash}] = in.u64();
   }
   actions_.clear();
-  const auto action_count = in.u64();
+  const auto action_count = in.count(16);
   for (std::uint64_t i = 0; i < action_count && in.ok(); ++i) {
     EnforcementAction a;
     a.time = in.i64();

@@ -180,7 +180,17 @@ bool within_edit_distance(std::string_view a, std::string_view b, std::size_t ma
   const std::size_t lb = b.size();
   const std::size_t diff = la > lb ? la - lb : lb - la;
   if (diff > max_edits) return false;
-  return levenshtein(a, b) <= max_edits;
+  if (max_edits > 1) return levenshtein(a, b) <= max_edits;
+  // At most one edit: past the common prefix, the first mismatch must be the
+  // single substitution, insertion or deletion, and the rest must agree.
+  std::size_t i = 0;
+  const std::size_t common = std::min(la, lb);
+  while (i < common && a[i] == b[i]) ++i;
+  if (i == common) return true;  // equal, or `diff` trailing chars
+  if (max_edits == 0) return false;
+  if (la == lb) return a.substr(i + 1) == b.substr(i + 1);
+  if (la < lb) return a.substr(i) == b.substr(i + 1);
+  return a.substr(i + 1) == b.substr(i);
 }
 
 double gibberish_score(std::string_view s) {

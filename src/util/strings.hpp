@@ -38,7 +38,8 @@ namespace fraudsim::util {
 [[nodiscard]] std::size_t levenshtein(std::string_view a, std::string_view b);
 
 // True if the strings are within `max_edits` edits of each other. Early-outs
-// on length difference, cheaper than full levenshtein for filtering.
+// on length difference. For `max_edits <= 1` it is an O(len) prefix/suffix
+// comparison that allocates nothing; larger bounds fall back to levenshtein.
 [[nodiscard]] bool within_edit_distance(std::string_view a, std::string_view b,
                                         std::size_t max_edits);
 

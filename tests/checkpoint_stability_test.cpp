@@ -9,12 +9,16 @@
 // frame exactly.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "app/actors.hpp"
 #include "app/fp_store.hpp"
 #include "attack/seat_spin.hpp"
+#include "biometrics/detector.hpp"
 #include "core/mitigate/controller.hpp"
 #include "core/mitigate/rate_limit.hpp"
 #include "core/scenario/env.hpp"
@@ -154,6 +158,125 @@ TEST(CheckpointStability, MitigationControllerRestoreRecheckpointRoundTrips) {
   restored.restore(in);
   ASSERT_TRUE(in.ok());
   EXPECT_EQ(checkpoint_bytes(restored), bytes);
+}
+
+// A controller checkpoint written field by field, in the layout
+// MitigationController::checkpoint uses, so each test below can corrupt one
+// field of an otherwise valid frame.
+struct ControllerFrame {
+  static constexpr std::uint64_t kHostile = std::uint64_t{1} << 40;
+
+  std::vector<std::pair<std::int64_t, std::uint64_t>> baseline = {{1, 40}, {2, 25}, {6, 3}};
+  std::optional<std::uint64_t> baseline_count;
+  std::vector<std::pair<std::uint64_t, std::vector<std::string>>> flagged = {
+      {0x11, {"PNR001", "PNR002"}}, {0x22, {"PNR003"}}};
+  std::optional<std::uint64_t> flagged_count;
+  std::optional<std::uint64_t> first_pnr_count;
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> hits = {{0x33, 2}, {0x44, 7}};
+  std::optional<std::uint64_t> hit_count;
+  std::optional<std::uint64_t> action_count;
+
+  [[nodiscard]] std::string bytes() const {
+    util::ByteWriter out;
+    out.u64(baseline_count.value_or(baseline.size()));
+    for (const auto& [nip, count] : baseline) {
+      out.i64(nip);
+      out.u64(count);
+    }
+    out.i64(sim::days(2));
+    out.u64(flagged_count.value_or(flagged.size()));
+    for (std::size_t i = 0; i < flagged.size(); ++i) {
+      const auto& [hash, pnrs] = flagged[i];
+      out.u64(hash);
+      out.u64(i == 0 && first_pnr_count ? *first_pnr_count : pnrs.size());
+      for (const auto& pnr : pnrs) out.str(pnr);
+    }
+    const mitigate::ControllerConfig config;
+    biometrics::BiometricDetector(config.biometric_thresholds).checkpoint(out);
+    out.u64(0);  // biometric cursor
+    out.u64(hit_count.value_or(hits.size()));
+    for (const auto& [hash, count] : hits) {
+      out.u64(hash);
+      out.u64(count);
+    }
+    out.u64(action_count.value_or(1));
+    out.i64(sim::hours(7));
+    out.str("fp-block");
+    out.str("17");
+    out.boolean(false);
+    out.boolean(false);
+    return out.take();
+  }
+};
+
+// Restores `frame` into a controller on a fresh platform and re-checkpoints
+// it; nullopt when the decoder rejects the frame.
+std::optional<std::string> restore_controller(const ControllerFrame& frame) {
+  scenario::Env env(scenario::EnvConfig{});
+  mitigate::MitigationController controller(env.app, env.engine, mitigate::ControllerConfig{});
+  const std::string bytes = frame.bytes();
+  util::ByteReader in(bytes);
+  controller.restore(in);
+  if (!in.exhausted()) return std::nullopt;
+  return checkpoint_bytes(controller);
+}
+
+TEST(CheckpointStability, MitigationControllerRestoreAcceptsTheHandWrittenFrame) {
+  const ControllerFrame frame;
+  EXPECT_EQ(restore_controller(frame), frame.bytes());
+}
+
+TEST(CheckpointStability, MitigationControllerRestoreRejectsHostileBaselineCount) {
+  ControllerFrame frame;
+  frame.baseline_count = ControllerFrame::kHostile;
+  EXPECT_FALSE(restore_controller(frame));
+}
+
+TEST(CheckpointStability, MitigationControllerRestoreRejectsHostileFlaggedCount) {
+  ControllerFrame frame;
+  frame.flagged_count = ControllerFrame::kHostile;
+  EXPECT_FALSE(restore_controller(frame));
+}
+
+TEST(CheckpointStability, MitigationControllerRestoreRejectsHostilePnrCount) {
+  ControllerFrame frame;
+  frame.first_pnr_count = ControllerFrame::kHostile;
+  EXPECT_FALSE(restore_controller(frame));
+}
+
+TEST(CheckpointStability, MitigationControllerRestoreRejectsHostileBiometricHitCount) {
+  ControllerFrame frame;
+  frame.hit_count = ControllerFrame::kHostile;
+  EXPECT_FALSE(restore_controller(frame));
+}
+
+TEST(CheckpointStability, MitigationControllerRestoreRejectsHostileActionCount) {
+  ControllerFrame frame;
+  frame.action_count = ControllerFrame::kHostile;
+  EXPECT_FALSE(restore_controller(frame));
+}
+
+TEST(CheckpointStability, MitigationControllerRestoreRejectsDuplicateFlaggedHash) {
+  // Two entries for one hash would silently merge two PNR tallies.
+  ControllerFrame frame;
+  frame.flagged[1].first = frame.flagged[0].first;
+  EXPECT_FALSE(restore_controller(frame));
+  frame.flagged[1].first = frame.flagged[0].first - 1;  // descending
+  EXPECT_FALSE(restore_controller(frame));
+}
+
+TEST(CheckpointStability, MitigationControllerRestoreRejectsDuplicateBiometricHitHash) {
+  ControllerFrame frame;
+  frame.hits[1].first = frame.hits[0].first;
+  EXPECT_FALSE(restore_controller(frame));
+  frame.hits[1].first = frame.hits[0].first - 1;  // descending
+  EXPECT_FALSE(restore_controller(frame));
+}
+
+TEST(CheckpointStability, MitigationControllerRestoreRejectsDuplicateNipBaselineKey) {
+  ControllerFrame frame;
+  frame.baseline[2].first = frame.baseline[0].first;
+  EXPECT_FALSE(restore_controller(frame));
 }
 
 }  // namespace

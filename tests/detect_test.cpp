@@ -1,13 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+
 #include "fingerprint/population.hpp"
 
+#include "attack/identity_gen.hpp"
 #include "core/detect/behavior.hpp"
 #include "core/detect/fingerprint_detect.hpp"
 #include "core/detect/labels.hpp"
 #include "core/detect/name_patterns.hpp"
 #include "core/detect/nip_anomaly.hpp"
 #include "core/detect/sms_anomaly.hpp"
+#include "util/hash.hpp"
+#include "util/strings.hpp"
 #include "workload/names.hpp"
 
 namespace fraudsim::detect {
@@ -362,6 +368,152 @@ TEST(NamePatterns, CleanTrafficStaysClean) {
   // Pool collisions can produce a few repeats, but the flag rate stays tiny.
   EXPECT_LT(findings.all_flagged().size(), 20u);
   EXPECT_TRUE(findings.gibberish.empty());
+}
+
+// A 900-reservation window: legitimate parties mixed with hand-typed
+// misspelling clusters around three names, birthdate rotation, gibberish and
+// a permuted fixed set (itself misspelled now and then).
+std::vector<airline::Reservation> mixed_identity_window() {
+  sim::Rng rng(2025);
+  attack::IdentityGenerator rotation(
+      {attack::IdentityRegime::FixedNameRotatingBirthdate, 6, 0.0, 8}, sim::Rng(11));
+  attack::IdentityGenerator gibberish({attack::IdentityRegime::Gibberish, 6, 0.0, 8}, sim::Rng(12));
+  attack::IdentityGenerator permuted({attack::IdentityRegime::PermutedFixedSet, 5, 0.2, 8},
+                                     sim::Rng(13));
+  const std::vector<airline::Passenger> typed = {{"Anna", "Martinez", {1990, 1, 1}, ""},
+                                                 {"Jonas", "Lindqvist", {1984, 6, 12}, ""},
+                                                 {"Mei", "Tanaka", {1979, 11, 30}, ""}};
+  std::vector<airline::Reservation> window;
+  for (int i = 0; i < 900; ++i) {
+    std::vector<airline::Passenger> party;
+    const auto kind = rng.uniform_int(0, 19);
+    if (kind < 13) {
+      party = workload::random_party(rng, static_cast<int>(rng.uniform_int(1, 4)));
+    } else if (kind < 15) {
+      airline::Passenger p = typed[static_cast<std::size_t>(rng.uniform_int(0, 2))];
+      if (rng.uniform() < 0.6) p.surname = workload::misspell(rng, p.surname);
+      if (rng.uniform() < 0.3) p.first_name = workload::misspell(rng, p.first_name);
+      party.push_back(p);
+    } else if (kind < 17) {
+      party = rotation.make_party(static_cast<int>(rng.uniform_int(1, 3)));
+    } else if (kind < 18) {
+      party = gibberish.make_party(static_cast<int>(rng.uniform_int(1, 2)));
+    } else {
+      party = permuted.make_party(3);
+    }
+    auto r = reservation_with(party, "W" + std::to_string(1000 + i),
+                              100 + static_cast<std::uint64_t>(kind));
+    r.created = i * sim::kMinute;
+    r.source_fp = fp::FpHash{0x5000u + static_cast<std::uint64_t>(i % 97)};
+    r.source_ip = net::IpV4{0x0A000000u + static_cast<std::uint32_t>(i % 61)};
+    window.push_back(std::move(r));
+  }
+  return window;
+}
+
+// The analyzer's rules written the direct way: ordered maps, string keys
+// built per use, and a misspelling search over every pair of name keys
+// through the full Levenshtein distance.
+NamePatternFindings all_pairs_reference(const std::vector<airline::Reservation>& reservations,
+                                        const NamePatternConfig& config) {
+  NamePatternFindings f;
+  std::map<std::string, std::vector<const airline::Reservation*>> by_name;
+  std::map<std::string, std::vector<const airline::Reservation*>> by_identity;
+  std::map<std::string, std::vector<const airline::Reservation*>> by_party;
+  std::map<std::string, std::set<std::string>> birthdates;
+  std::size_t instances = 0;
+  for (const auto& r : reservations) {
+    double total = 0.0;
+    for (const auto& p : r.passengers) {
+      by_name[p.name_key()].push_back(&r);
+      by_identity[p.identity_key()].push_back(&r);
+      birthdates[p.name_key()].insert(p.birthdate.str());
+      ++instances;
+      total += util::gibberish_score(p.first_name);
+      total += util::gibberish_score(p.surname);
+    }
+    by_party[airline::party_key(r.passengers)].push_back(&r);
+    const double n = 2.0 * static_cast<double>(r.passengers.size());
+    if (n > 0 && total / n >= config.gibberish_threshold) f.gibberish.insert(r.pnr);
+  }
+  const double floor = config.name_share_threshold * static_cast<double>(instances);
+  auto flag = [](std::set<std::string>& out, const std::vector<const airline::Reservation*>& rs) {
+    for (const auto* r : rs) out.insert(r->pnr);
+  };
+  for (const auto& [key, rs] : by_identity) {
+    if (rs.size() >= config.repeat_threshold) flag(f.repeated_identity, rs);
+  }
+  for (const auto& [key, rs] : by_name) {
+    if (rs.size() >= config.repeat_threshold && static_cast<double>(rs.size()) >= floor &&
+        birthdates[key].size() >= config.birthdate_variants) {
+      flag(f.birthdate_rotation, rs);
+    }
+  }
+  for (const auto& [key, rs] : by_party) {
+    if (rs.size() >= config.party_repeat_threshold) flag(f.permuted_party, rs);
+  }
+  for (const auto& [key, rs] : by_name) {
+    if (rs.size() < 2) continue;
+    std::size_t cluster = rs.size();
+    std::vector<const std::vector<const airline::Reservation*>*> variants;
+    for (const auto& [other, others] : by_name) {
+      if (other == key || util::levenshtein(key, other) > 1) continue;
+      cluster += others.size();
+      variants.push_back(&others);
+    }
+    if (variants.empty() || cluster < config.misspell_cluster_size ||
+        static_cast<double>(cluster) < floor) {
+      continue;
+    }
+    flag(f.misspelling_cluster, rs);
+    for (const auto* v : variants) flag(f.misspelling_cluster, *v);
+  }
+  return f;
+}
+
+std::uint64_t alert_stream_digest(const AlertSink& sink) {
+  std::uint64_t digest = util::fnv1a("");
+  for (const auto& a : sink.alerts()) {
+    std::string line = std::to_string(a.time) + "|" + a.detector + "|" +
+                       std::to_string(static_cast<int>(a.severity)) + "|" + a.explanation + "|" +
+                       a.pnr.value_or("-") + "|" +
+                       (a.fingerprint ? a.fingerprint->str() : "-") + "|" +
+                       (a.ip ? std::to_string(a.ip->value()) : "-") + "|" +
+                       (a.actor ? a.actor->str() : "-") + "|" +
+                       (a.session ? a.session->str() : "-") + "\n";
+    digest = util::fnv1a_append(digest, line);
+  }
+  return digest;
+}
+
+TEST(NamePatterns, MatchesTheAllPairsReferenceOnAMixedWindow) {
+  const auto window = mixed_identity_window();
+  const NamePatternAnalyzer analyzer;
+  const auto got = analyzer.analyze(window);
+  const auto want = all_pairs_reference(window, analyzer.config());
+  EXPECT_EQ(got.gibberish, want.gibberish);
+  EXPECT_EQ(got.repeated_identity, want.repeated_identity);
+  EXPECT_EQ(got.birthdate_rotation, want.birthdate_rotation);
+  EXPECT_EQ(got.permuted_party, want.permuted_party);
+  EXPECT_EQ(got.misspelling_cluster, want.misspelling_cluster);
+  // Every signal fires on this window, so all five comparisons bite.
+  EXPECT_FALSE(want.gibberish.empty());
+  EXPECT_FALSE(want.repeated_identity.empty());
+  EXPECT_FALSE(want.birthdate_rotation.empty());
+  EXPECT_FALSE(want.permuted_party.empty());
+  EXPECT_FALSE(want.misspelling_cluster.empty());
+}
+
+TEST(NamePatterns, PointerViewAlertStreamIsPinned) {
+  // The count and digest were taken from the alert stream of the earlier
+  // overload that took the window by value, on the same window.
+  const auto window = mixed_identity_window();
+  std::vector<const airline::Reservation*> view;
+  for (const auto& r : window) view.push_back(&r);
+  AlertSink sink;
+  NamePatternAnalyzer().analyze(view, sink);
+  EXPECT_EQ(sink.count(), 461u);
+  EXPECT_EQ(alert_stream_digest(sink), 0x814fb05e563a2e92ull);
 }
 
 // --- SMS anomaly ---------------------------------------------------------------------------

@@ -172,6 +172,30 @@ TEST_P(LevenshteinProperty, MetricAxioms) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LevenshteinProperty, ::testing::Values(21, 22, 23, 24));
 
+// --- The one-edit kernel agrees with the full distance ----------------------------------
+
+class WithinOneEditProperty : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(WithinOneEditProperty, AgreesWithLevenshtein) {
+  // A 3-letter alphabet makes equal lengths, shared prefixes and one-edit
+  // near misses common, which is where the prefix/suffix check can go wrong.
+  sim::Rng rng(GetParam());
+  auto word = [&rng] {
+    std::string s(static_cast<std::size_t>(rng.uniform_int(0, 12)), 'a');
+    for (auto& c : s) c = static_cast<char>('a' + rng.uniform_int(0, 2));
+    return s;
+  };
+  for (int i = 0; i < 2000; ++i) {
+    const auto a = word();
+    const auto b = word();
+    const auto d = util::levenshtein(a, b);
+    EXPECT_EQ(util::within_edit_distance(a, b, 1), d <= 1) << a << " / " << b;
+    EXPECT_EQ(util::within_edit_distance(a, b, 0), d == 0) << a << " / " << b;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, WithinOneEditProperty, ::testing::Values(41, 42, 43, 44));
+
 // --- Misspell stays within one edit across many names ----------------------------------
 
 class MisspellProperty : public ::testing::TestWithParam<std::uint64_t> {};

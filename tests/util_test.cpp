@@ -171,6 +171,27 @@ TEST(Strings, WithinEditDistanceEarlyOut) {
   EXPECT_FALSE(within_edit_distance("ab", "abcdef", 2));  // length gap early-out
 }
 
+TEST(Strings, WithinOneEditFixedCases) {
+  EXPECT_TRUE(within_edit_distance("", "", 1));
+  EXPECT_TRUE(within_edit_distance("", "x", 1));
+  EXPECT_TRUE(within_edit_distance("x", "", 1));
+  EXPECT_FALSE(within_edit_distance("", "x", 0));
+  EXPECT_TRUE(within_edit_distance("martinez", "martinez", 0));
+  EXPECT_TRUE(within_edit_distance("martinez", "martinez", 1));
+  EXPECT_TRUE(within_edit_distance("martinez", "martines", 1));   // substitution
+  EXPECT_TRUE(within_edit_distance("martinez", "martinnez", 1));  // insertion
+  EXPECT_TRUE(within_edit_distance("martinez", "martnez", 1));    // deletion
+  EXPECT_TRUE(within_edit_distance("smith", "xsmith", 1));        // edit at the front
+  EXPECT_FALSE(within_edit_distance("ab", "ba", 1));              // a transposition is two edits
+  EXPECT_FALSE(within_edit_distance("martinez", "mratinez", 1));
+  EXPECT_FALSE(within_edit_distance("abc", "axcx", 1));
+  // Bytes >= 0x80 (UTF-8 names) compare as bytes, as levenshtein does.
+  EXPECT_TRUE(within_edit_distance("m\xc3\xbcller", "m\xc3\xb6ller", 1));
+  EXPECT_FALSE(within_edit_distance("m\xc3\xbcller", "muller", 1));
+  EXPECT_TRUE(within_edit_distance("m\xc3\xbcller", "muller", 2));
+  EXPECT_TRUE(within_edit_distance("\xff\x80", "\xff", 1));
+}
+
 TEST(Strings, GibberishScoreSeparatesNamesFromMash) {
   // Real names score low.
   EXPECT_LT(gibberish_score("martinez"), 0.4);
