@@ -10,30 +10,15 @@
 // infrastructure into one component and the amplification rule flags the
 // aggregate no member crossed.
 //
-// Shape gates (default mode), per base seed {101, 202, 303}:
+// Shape gates, per base seed {101, 202, 303} (--smoke: 101 only, 5 h):
 //   * graph.ring catches >= 80% of ring members;
 //   * every OTHER detector family flags ZERO ring members (the ring is
 //     invisible per-entity by construction);
 //   * the graph stays inside its configured bounds.
-//
-// `exp_ring_detection --gate [--out PATH] [--smoke]` measures the inline cost
-// of the subsystem instead and writes BENCH_detect_graph.json (judged against
-// the committed baseline by bench/perf_compare):
-//   ns_graph_ingest_per_event   wall ns per admit-path tap event (touch +
-//                               edges + EWMA) on a steady-state graph
-//   ns_graph_score_per_session  wall ns per session to score components and
-//                               resolve membership, partition rebuilt dirty
-//   ring_catch_rate / ...       informational: the headline detection numbers
-#include <algorithm>
-#include <chrono>
-#include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <functional>
 #include <iostream>
 #include <set>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "attack/ring_orchestrator.hpp"
@@ -43,16 +28,12 @@
 #include "core/detect/graph/graph_ingest.hpp"
 #include "core/detect/pipeline.hpp"
 #include "core/scenario/env.hpp"
-#include "fingerprint/population.hpp"
 #include "util/format.hpp"
 #include "util/table.hpp"
 
 using namespace fraudsim;
 
 namespace {
-
-// ---------------------------------------------------------------------------
-// Shape mode: the ring scenario, per seed.
 
 struct SeedResult {
   std::size_t members = 0;
@@ -196,149 +177,8 @@ int run_shape(bool smoke) {
   return ok ? 0 : 1;
 }
 
-// ---------------------------------------------------------------------------
-// Gate mode: inline cost of the subsystem, pinned in BENCH_detect_graph.json.
-
-using GateClock = std::chrono::steady_clock;
-
-double elapsed_ns(GateClock::time_point from, GateClock::time_point to) {
-  return static_cast<double>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(to - from).count());
-}
-
-double median(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  const std::size_t n = v.size();
-  if (n == 0) return 0.0;
-  return n % 2 == 1 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2.0;
-}
-
-double median_of(int reps, const std::function<double()>& sample) {
-  std::vector<double> runs;
-  runs.reserve(static_cast<std::size_t>(reps));
-  for (int r = 0; r < reps; ++r) runs.push_back(sample());
-  return median(std::move(runs));
-}
-
-// Deterministic synthetic admit stream straight into the tap: 4096 sessions,
-// 256 fingerprints and 1024 exit IPs cycling at one event per simulated
-// second, an occasional payment token — every key stays inside the TTL so the
-// measurement sees the steady-state graph (hash + intern + edge upsert +
-// EWMA), with maintenance passes amortized in, exactly like production.
-struct SynthDriver {
-  detect::graph::EntityGraph graph;
-  detect::graph::GraphIngest ingest{graph};
-  app::ClientContext ctx;
-  std::vector<fp::Fingerprint> fingerprints;
-  sim::SimTime t = 0;
-  std::size_t seq = 0;
-
-  SynthDriver() {
-    fp::PopulationModel population;
-    sim::Rng rng(9);
-    fingerprints.reserve(256);
-    for (int i = 0; i < 256; ++i) fingerprints.push_back(population.sample(rng));
-  }
-
-  void drive(std::size_t events) {
-    for (std::size_t i = 0; i < events; ++i, ++seq) {
-      t += sim::seconds(1);
-      ctx.session = web::SessionId{1 + (seq % 4096)};
-      ctx.fingerprint = fingerprints[seq % fingerprints.size()];
-      ctx.ip = net::IpV4{0x20000000u + static_cast<std::uint32_t>(seq % 1024)};
-      ctx.payment_token =
-          seq % 8 == 0 ? "tok-" + std::to_string(seq % 64) : std::string();
-      ingest.on_browse(t, ctx, web::Endpoint::SearchFlights, web::HttpMethod::Get,
-                       app::CallStatus::Ok);
-    }
-  }
-};
-
-double measure_ns_ingest(std::size_t events) {
-  SynthDriver driver;
-  driver.drive(events / 4);  // warmup: fault the node/edge stores in
-  const auto t0 = GateClock::now();
-  driver.drive(events);
-  const auto t1 = GateClock::now();
-  return elapsed_ns(t0, t1) / static_cast<double>(events);
-}
-
-// Scoring cost per session with the partition deliberately dirtied each rep:
-// one scored_components pass (the union-find rebuild every graph change
-// forces) plus a find + component_of membership lookup per live session —
-// the exact read path GraphDetector::evaluate takes.
-double measure_ns_score(SynthDriver& driver, std::size_t* rep_counter) {
-  const detect::graph::GraphDetector detector(driver.graph, {});
-  const std::size_t sessions = 4096;
-  driver.graph.touch(driver.t, detect::graph::NodeType::Session,
-                     "score-rep-" + std::to_string((*rep_counter)++));
-  const auto t0 = GateClock::now();
-  const auto verdicts = detector.scored_components(driver.t);
-  std::uint64_t sink = verdicts.size();
-  for (std::size_t s = 0; s < sessions; ++s) {
-    const auto id =
-        driver.graph.find(detect::graph::NodeType::Session, web::SessionId{1 + s}.str());
-    sink += driver.graph.component_of(id);
-  }
-  const auto t1 = GateClock::now();
-  volatile std::uint64_t keep = sink;
-  (void)keep;
-  return elapsed_ns(t0, t1) / static_cast<double>(sessions);
-}
-
-int run_gate(const bench::Options& options) {
-  const bool smoke = options.smoke;
-  const int reps = smoke ? 3 : 5;
-  const std::size_t events = smoke ? 50'000 : 400'000;
-  std::vector<std::pair<std::string, double>> metrics;
-
-  std::cerr << "[gate] inline ingest cost...\n";
-  metrics.emplace_back("ns_graph_ingest_per_event",
-                       median_of(reps, [&] { return measure_ns_ingest(events); }));
-
-  std::cerr << "[gate] component scoring cost...\n";
-  SynthDriver scored;
-  scored.drive(events);
-  std::size_t rep_counter = 0;
-  metrics.emplace_back("ns_graph_score_per_session", median_of(reps, [&] {
-                         return measure_ns_score(scored, &rep_counter);
-                       }));
-
-  std::cerr << "[gate] ring scenario (informational)...\n";
-  const SeedResult ring = run_ring(101, smoke);
-  metrics.emplace_back("ring_catch_rate", ring.catch_rate);
-  metrics.emplace_back("ring_other_family_flags", static_cast<double>(ring.caught_by_others));
-  metrics.emplace_back("graph_nodes", static_cast<double>(ring.nodes));
-  metrics.emplace_back("graph_edges", static_cast<double>(ring.edges));
-
-  const std::string path = options.out_dir.empty() ? "BENCH_detect_graph.json" : options.out_dir;
-  std::ofstream out(path);
-  if (!out) {
-    std::cerr << "cannot open " << path << " for writing\n";
-    return 1;
-  }
-  out << "{\n  \"schema\": \"fraudsim.bench.detect_graph.v1\",\n  \"metrics\": {\n";
-  for (std::size_t i = 0; i < metrics.size(); ++i) {
-    out << "    \"" << metrics[i].first << "\": " << util::format_general(metrics[i].second, 6)
-        << (i + 1 < metrics.size() ? ",\n" : "\n");
-  }
-  out << "  },\n  \"meta\": {\n    \"smoke\": " << (smoke ? 1 : 0) << ",\n    \"reps\": " << reps
-      << ",\n    \"ingest_events\": " << events << "\n  }\n}\n";
-  out.close();
-
-  std::cout << "graph perf gate written to " << path << "\n";
-  for (const auto& [name, value] : metrics) {
-    std::printf("  %-28s %14.4f\n", name.c_str(), value);
-  }
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::Options options = bench::Options::parse(argc, argv);
-  const bool gate = std::find(options.positional.begin(), options.positional.end(), "--gate") !=
-                    options.positional.end();
-  if (gate) return run_gate(options);
-  return run_shape(options.smoke);
+  return run_shape(bench::Options::parse(argc, argv).smoke);
 }

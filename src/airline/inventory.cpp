@@ -249,8 +249,14 @@ void InventoryManager::restore(util::ByteReader& in) {
   config_.hold_duration = in.i64();
   config_.max_nip = static_cast<int>(in.i64());
   pnr_gen_.restore(in);
+  // Minimum encoded sizes bound every count by the bytes left: a flight is
+  // id + airline string + three i64s, a reservation its fixed fields plus an
+  // empty PNR and party, a passenger three strings and a birthdate.
+  constexpr std::size_t kMinFlightBytes = 8 + 4 + 3 * 8;
+  constexpr std::size_t kMinReservationBytes = 4 + 8 + 8 + 2 * 8 + 1 + 8 + 4 + 8 + 8;
+  constexpr std::size_t kMinPassengerBytes = 3 * 4 + 3 * 8;
   flights_.clear();
-  const auto flight_count = in.u64();
+  const auto flight_count = in.count(kMinFlightBytes);
   for (std::uint64_t i = 0; i < flight_count && in.ok(); ++i) {
     Flight f;
     f.id = FlightId{in.u64()};
@@ -261,21 +267,22 @@ void InventoryManager::restore(util::ByteReader& in) {
     flights_.push_back(std::move(f));
   }
   reservations_.clear();
-  const auto res_count = in.u64();
+  const auto res_count = in.count(kMinReservationBytes);
   reservations_.reserve(res_count);
   for (std::uint64_t i = 0; i < res_count && in.ok(); ++i) {
     Reservation r;
     r.pnr = in.str();
     r.flight = FlightId{in.u64()};
-    const auto party = in.u64();
+    const auto party = in.count(kMinPassengerBytes);
     for (std::uint64_t p = 0; p < party && in.ok(); ++p) r.passengers.push_back(load_passenger(in));
     r.created = in.i64();
     r.hold_expiry = in.i64();
-    r.state = static_cast<ReservationState>(in.u8());
+    in.read_enum(ReservationState::Expired, r.state);
     r.state_changed = in.i64();
     r.source_ip = net::IpV4{in.u32()};
     r.source_fp = fp::FpHash{in.u64()};
     r.actor = web::ActorId{in.u64()};
+    if (!in.ok()) break;
     reservations_.push_back(std::move(r));
   }
   stats_.holds_created = in.u64();

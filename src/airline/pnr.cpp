@@ -28,7 +28,7 @@ void PnrGenerator::checkpoint(util::ByteWriter& out) const {
 
 void PnrGenerator::restore(util::ByteReader& in) {
   rng_.restore(in);
-  const auto n = in.u64();
+  const auto n = in.count(4);  // each locator is at least its length prefix
   issued_.clear();
   for (std::uint64_t i = 0; i < n && in.ok(); ++i) issued_.insert(in.str());
 }

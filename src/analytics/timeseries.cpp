@@ -55,7 +55,7 @@ void TimeSeries::checkpoint(util::ByteWriter& out) const {
 
 void TimeSeries::restore(util::ByteReader& in) {
   width_ = in.i64();
-  const auto n = in.u64();
+  const auto n = in.count(8);
   values_.assign(n, 0.0);
   for (std::uint64_t i = 0; i < n && in.ok(); ++i) values_[i] = in.f64();
 }

@@ -24,9 +24,6 @@ Options Options::from_env() {
   Options o;
   o.smoke = env_flag("FRAUDSIM_BENCH_SMOKE");
   o.fleet_threads = static_cast<unsigned>(env_u64("FRAUDSIM_FLEET_THREADS", 0));
-  if (const char* env = std::getenv("FRAUDSIM_METRICS_OUT"); env != nullptr && env[0] != '\0') {
-    o.metrics_out = env;
-  }
   return o;
 }
 
@@ -44,8 +41,6 @@ Options Options::parse(int argc, char** argv) {
       if (const char* v = value_of(i)) {
         o.fleet_threads = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
       }
-    } else if (arg == "--metrics-out") {
-      if (const char* v = value_of(i)) o.metrics_out = v;
     } else if (arg == "--seed") {
       if (const char* v = value_of(i)) o.seed = std::strtoull(v, nullptr, 10);
     } else if (arg == "--out-dir" || arg == "--out") {

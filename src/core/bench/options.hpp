@@ -1,7 +1,7 @@
 // Unified bench/example CLI + environment configuration.
 //
 // Every bench/exp_* and examples/* main used to hand-roll the same getenv
-// blocks (FRAUDSIM_BENCH_SMOKE, FRAUDSIM_FLEET_THREADS, FRAUDSIM_METRICS_OUT)
+// blocks (FRAUDSIM_BENCH_SMOKE, FRAUDSIM_FLEET_THREADS)
 // plus ad-hoc argv parsing. bench::Options parses both in one place with one
 // precedence rule: environment first, argv flags override. Unrecognised
 // arguments are passed through in `positional` so tool-specific flags keep
@@ -20,8 +20,6 @@ struct Options {
   bool smoke = false;
   // FRAUDSIM_FLEET_THREADS / --threads N: fleet worker count (0 = auto).
   unsigned fleet_threads = 0;
-  // FRAUDSIM_METRICS_OUT / --metrics-out PATH: profiler/metrics JSONL sink.
-  std::string metrics_out;
   // --seed N: base RNG seed for tools that accept one.
   std::optional<std::uint64_t> seed;
   // --out-dir PATH (also --out PATH): artifact output directory.

@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "core/fault/fault.hpp"
-#include "core/obs/profile.hpp"
 
 namespace fraudsim::detect {
 namespace {
@@ -126,7 +125,6 @@ DetectionPipeline::FamilyHandles& DetectionPipeline::family_handles(const char* 
   const auto it = family_handles_.find(key);
   if (it != family_handles_.end()) return it->second;
   FamilyHandles h;
-  h.profile_phase = family_metric(key, "");
   if (obs_ != nullptr) {
     h.runs = obs_->metrics.counter(family_metric(key, ".runs"));
     h.skipped = obs_->metrics.counter(family_metric(key, ".skipped"));
@@ -521,7 +519,6 @@ PipelineResult DetectionPipeline::run(const app::Application& application,
     const std::size_t alerts_before = result.alerts.alerts().size();
     std::vector<BatchScore> scores(views.size());
     try {
-      const obs::ScopedTimer timer(obs::Profiler::instance().phase(handles.profile_phase));
       if (batch_fault) {
         // Scalar reference: the base-class adapter, bypassing any override.
         det->Detector::score_batch(views, scores, result.alerts);

@@ -210,7 +210,6 @@ class DetectionPipeline {
     obs::Counter runs;
     obs::Counter skipped;
     obs::Counter alerts;
-    std::string profile_phase;  // "detect.<family>"
   };
   struct BatchHandles {
     obs::Counter runs;

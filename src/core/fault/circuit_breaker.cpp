@@ -81,7 +81,7 @@ void CircuitBreaker::checkpoint(util::ByteWriter& out) const {
 }
 
 void CircuitBreaker::restore(util::ByteReader& in) {
-  state_ = static_cast<State>(in.u8());
+  in.read_enum(State::HalfOpen, state_);
   consecutive_failures_ = in.u64();
   half_open_successes_ = in.u64();
   probe_in_flight_ = in.boolean();

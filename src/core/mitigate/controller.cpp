@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "core/detect/alert.hpp"
-#include "core/obs/profile.hpp"
 
 namespace fraudsim::mitigate {
 
@@ -46,7 +45,6 @@ void MitigationController::schedule_next() {
 }
 
 void MitigationController::sweep() {
-  const obs::ScopedTimer timer(obs::Profiler::instance().phase("mitigate.sweep"));
   const sim::SimTime now = app_.simulation().now();
   if (sweep_fault_.should_fail(now)) {
     // Detection backend down: skip this sweep entirely. Enforcement resumes

@@ -6,21 +6,6 @@
 
 namespace fraudsim::mitigate {
 
-namespace {
-
-// Reads one enum byte into `out`. A byte past `last` fails the reader; a
-// failed read leaves `out` unchanged.
-template <typename Enum>
-bool read_enum(util::ByteReader& in, Enum last, Enum& out) {
-  const std::uint8_t raw = in.u8();
-  if (raw > static_cast<std::uint8_t>(last)) in.fail();
-  if (!in.ok()) return false;
-  out = static_cast<Enum>(raw);
-  return true;
-}
-
-}  // namespace
-
 RuleEngine::RuleEngine(const sim::Simulation& sim) : sim_(sim) {}
 
 void RuleEngine::set_blocklist_action(app::PolicyAction action) { blocklist_action_ = action; }
@@ -190,7 +175,7 @@ void RuleEngine::checkpoint(util::ByteWriter& out) const {
 
 void RuleEngine::restore(util::ByteReader& in) {
   blocklist_.restore(in);
-  read_enum(in, app::PolicyAction::Shed, blocklist_action_);
+  in.read_enum(app::PolicyAction::Shed, blocklist_action_);
   blocked_ips_.clear();
   const auto ips = in.u64();
   for (std::uint64_t i = 0; i < ips && in.ok(); ++i) blocked_ips_.insert(in.u32());
@@ -205,9 +190,9 @@ void RuleEngine::restore(util::ByteReader& in) {
   const auto gates = in.u64();
   for (std::uint64_t i = 0; i < gates && in.ok(); ++i) {
     web::Endpoint endpoint{};
-    if (read_enum(in, web::Endpoint::TrapFile, endpoint)) loyalty_gated_.insert(endpoint);
+    if (in.read_enum(web::Endpoint::TrapFile, endpoint)) loyalty_gated_.insert(endpoint);
   }
-  read_enum(in, ChallengeMode::AllTransactional, challenge_mode_);
+  in.read_enum(ChallengeMode::AllTransactional, challenge_mode_);
   // Limiter specs are scenario configuration: the restoring process must have
   // re-added the same rate limits in the same order. Only window state is
   // carried over; a mismatch leaves later limiters at their fresh state.

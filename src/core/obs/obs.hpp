@@ -6,7 +6,6 @@
 #pragma once
 
 #include "core/obs/metrics.hpp"
-#include "core/obs/profile.hpp"
 #include "core/obs/trace.hpp"
 
 namespace fraudsim::obs {

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "core/obs/profile.hpp"
-
 namespace fraudsim::sim {
 
 EventId Simulation::schedule_at(SimTime at, EventFn fn) {
@@ -15,8 +13,6 @@ EventId Simulation::schedule_in(SimDuration delay, EventFn fn) {
 }
 
 void Simulation::run_until(SimTime end) {
-  // Wall-clock phase for the whole drain (no-op unless profiling is on).
-  const obs::ScopedTimer timer(obs::Profiler::instance().phase("sim.event_loop"));
   while (!stopped_ && !queue_.empty() && queue_.next_time() <= end) {
     auto fired = queue_.pop();
     now_ = fired.time;
@@ -27,7 +23,6 @@ void Simulation::run_until(SimTime end) {
 }
 
 void Simulation::run_before(SimTime end) {
-  const obs::ScopedTimer timer(obs::Profiler::instance().phase("sim.event_loop"));
   while (!stopped_ && !queue_.empty() && queue_.next_time() < end) {
     auto fired = queue_.pop();
     now_ = fired.time;
@@ -38,7 +33,6 @@ void Simulation::run_before(SimTime end) {
 }
 
 void Simulation::run_all(std::uint64_t max_events) {
-  const obs::ScopedTimer timer(obs::Profiler::instance().phase("sim.event_loop"));
   std::uint64_t n = 0;
   while (!stopped_ && !queue_.empty() && n < max_events) {
     auto fired = queue_.pop();

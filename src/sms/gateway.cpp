@@ -240,7 +240,12 @@ void SmsGateway::checkpoint(util::ByteWriter& out) const {
 }
 
 void SmsGateway::restore(util::ByteReader& in) {
-  const auto n = in.u64();
+  // Minimum encoded sizes bound both counts by the bytes left: a record's
+  // fixed fields plus an empty subscriber and no booking ref, and a pending
+  // retry's (due, index, attempt) triple.
+  constexpr std::size_t kMinRecordBytes = 8 + 2 + 4 + 1 + 8 + 1 + 8 + 1 + 1 + 4 * 8;
+  constexpr std::size_t kRetryBytes = 3 * 8;
+  const auto n = in.count(kMinRecordBytes);
   log_.clear();
   log_.reserve(n);
   for (std::uint64_t i = 0; i < n && in.ok(); ++i) {
@@ -250,16 +255,17 @@ void SmsGateway::restore(util::ByteReader& in) {
     r.destination.country =
         net::CountryCode(static_cast<char>(packed >> 8), static_cast<char>(packed & 0xFF));
     r.destination.subscriber = in.str();
-    r.type = static_cast<SmsType>(in.u8());
+    in.read_enum(SmsType::Notification, r.type);
     r.actor = web::ActorId{in.u64()};
     if (in.boolean()) r.booking_ref = in.str();
     r.deadline.expires = in.i64();
     r.delivered = in.boolean();
-    r.failure = static_cast<SmsFailure>(in.u8());
+    in.read_enum(SmsFailure::DeadlineExpired, r.failure);
     r.attempts = static_cast<int>(in.i64());
     r.delivered_at = in.i64();
     r.app_cost = util::Money::from_micros(in.i64());
     r.attacker_revenue = util::Money::from_micros(in.i64());
+    if (!in.ok()) break;
     log_.push_back(std::move(r));
   }
   total_app_cost_ = util::Money::from_micros(in.i64());
@@ -268,12 +274,17 @@ void SmsGateway::restore(util::ByteReader& in) {
   quota_used_ = in.u64();
   breaker_.restore(in);
   retry_rng_.restore(in);
-  const auto pending = in.u64();
+  const auto pending = in.count(kRetryBytes);
   retries_.clear();
   for (std::uint64_t i = 0; i < pending && in.ok(); ++i) {
     const sim::SimTime due = in.i64();
-    const std::size_t index = in.u64();
-    retries_[{due, index}] = static_cast<int>(in.i64());
+    const std::uint64_t index = in.u64();
+    const int attempt = static_cast<int>(in.i64());
+    // A retry names a log record by index; one past the log would make
+    // process_retries write outside it.
+    if (index >= log_.size()) in.fail();
+    if (!in.ok()) break;
+    retries_[{due, static_cast<std::size_t>(index)}] = attempt;
   }
 }
 

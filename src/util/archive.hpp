@@ -76,6 +76,17 @@ class ByteReader {
     return ok_ ? n : 0;
   }
 
+  // Reads one enum byte into `out`. A byte past `last` fails the reader; a
+  // failed read leaves `out` unchanged.
+  template <typename Enum>
+  bool read_enum(Enum last, Enum& out) {
+    const std::uint8_t raw = u8();
+    if (raw > static_cast<std::uint8_t>(last)) ok_ = false;
+    if (!ok_) return false;
+    out = static_cast<Enum>(raw);
+    return true;
+  }
+
   // True while every read so far stayed in bounds.
   [[nodiscard]] bool ok() const { return ok_; }
   // True when the payload was consumed exactly (no trailing garbage).

@@ -8,9 +8,9 @@
 // chunks, so a warmed-up arena serves every subsequent request without
 // touching the heap at all.
 //
-// The arena is also the perf harness's allocation probe: every allocation and
-// byte is tallied in Stats, so BENCH_core.json can pin "allocations per
-// admitted request" as a tracked number instead of a guess.
+// The arena is also the admit path's allocation probe: every allocation and
+// byte is tallied in Stats, so perf_api_test can pin "allocations per
+// admitted request" as an exact count instead of a guess.
 #pragma once
 
 #include <cstddef>

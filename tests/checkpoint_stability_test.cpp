@@ -15,6 +15,8 @@
 #include <utility>
 #include <vector>
 
+#include "airline/inventory.hpp"
+#include "airline/pnr.hpp"
 #include "app/actors.hpp"
 #include "app/fp_store.hpp"
 #include "attack/seat_spin.hpp"
@@ -23,6 +25,9 @@
 #include "core/mitigate/rate_limit.hpp"
 #include "core/scenario/env.hpp"
 #include "fingerprint/population.hpp"
+#include "sms/carrier.hpp"
+#include "sms/gateway.hpp"
+#include "sms/tariff.hpp"
 #include "util/archive.hpp"
 
 namespace fraudsim {
@@ -277,6 +282,256 @@ TEST(CheckpointStability, MitigationControllerRestoreRejectsDuplicateNipBaseline
   ControllerFrame frame;
   frame.baseline[2].first = frame.baseline[0].first;
   EXPECT_FALSE(restore_controller(frame));
+}
+
+// --- InventoryManager ------------------------------------------------------
+
+constexpr std::uint64_t kHostileCount = std::uint64_t{1} << 40;
+
+// An inventory checkpoint written field by field, in the layout
+// InventoryManager::checkpoint uses: two flights, a held two-passenger
+// reservation and a ticketed one.
+struct InventoryFrame {
+  struct Res {
+    std::string pnr;
+    std::uint64_t flight;
+    std::vector<std::string> passengers;  // first names; the rest is fixed
+    std::uint8_t state;
+  };
+  std::vector<Res> reservations = {
+      {"ABC123", 1, {"ana", "luis"}, static_cast<std::uint8_t>(airline::ReservationState::Held)},
+      {"XYZ789", 2, {"kim"}, static_cast<std::uint8_t>(airline::ReservationState::Ticketed)}};
+  std::optional<std::uint64_t> issued_count;
+  std::optional<std::uint64_t> flight_count;
+  std::optional<std::uint64_t> reservation_count;
+  std::optional<std::uint64_t> first_party_count;
+
+  [[nodiscard]] std::string bytes() const {
+    util::ByteWriter out;
+    out.i64(sim::minutes(30));  // hold duration
+    out.i64(9);                 // max NiP
+    sim::Rng(5).checkpoint(out);
+    out.u64(issued_count.value_or(1));
+    out.str("ABC123");
+    out.u64(flight_count.value_or(2));
+    for (std::uint64_t id : {1, 2}) {
+      out.u64(id);
+      out.str("FS");
+      out.i64(100 + static_cast<std::int64_t>(id));
+      out.i64(180);
+      out.i64(sim::days(10));
+    }
+    out.u64(reservation_count.value_or(reservations.size()));
+    for (std::size_t i = 0; i < reservations.size(); ++i) {
+      const Res& r = reservations[i];
+      out.str(r.pnr);
+      out.u64(r.flight);
+      out.u64(i == 0 && first_party_count ? *first_party_count : r.passengers.size());
+      for (const auto& first : r.passengers) {
+        out.str(first);
+        out.str("garcia");
+        out.i64(1980);
+        out.i64(4);
+        out.i64(12);
+        out.str(first + "@example.com");
+      }
+      out.i64(sim::hours(1));  // created
+      out.i64(sim::hours(1) + sim::minutes(30));
+      out.u8(r.state);
+      out.i64(sim::hours(1));  // state changed
+      out.u32(0x0A000001u);
+      out.u64(0x55);
+      out.u64(7);
+    }
+    for (std::uint64_t tally : {2, 0, 0, 1, 0}) out.u64(tally);
+    return out.take();
+  }
+};
+
+// Restores `frame` into a fresh inventory and re-checkpoints it; nullopt
+// when the decoder rejects the frame.
+std::optional<std::string> restore_inventory(const InventoryFrame& frame) {
+  airline::InventoryManager inventory(airline::InventoryConfig{}, sim::Rng(1));
+  const std::string bytes = frame.bytes();
+  util::ByteReader in(bytes);
+  inventory.restore(in);
+  if (!in.exhausted()) return std::nullopt;
+  return checkpoint_bytes(inventory);
+}
+
+TEST(CheckpointStability, InventoryRestoreAcceptsTheHandWrittenFrame) {
+  const InventoryFrame frame;
+  EXPECT_EQ(restore_inventory(frame), frame.bytes());
+}
+
+TEST(CheckpointStability, InventoryRestoreRejectsHostileIssuedPnrCount) {
+  InventoryFrame frame;
+  frame.issued_count = kHostileCount;
+  EXPECT_FALSE(restore_inventory(frame));
+}
+
+TEST(CheckpointStability, InventoryRestoreRejectsHostileFlightCount) {
+  InventoryFrame frame;
+  frame.flight_count = kHostileCount;
+  EXPECT_FALSE(restore_inventory(frame));
+}
+
+TEST(CheckpointStability, InventoryRestoreRejectsHostileReservationCount) {
+  // The count reserve() used to allocate for: 2^40 reservations threw
+  // std::bad_alloc before the loop ever ran out of input.
+  InventoryFrame frame;
+  frame.reservation_count = kHostileCount;
+  EXPECT_FALSE(restore_inventory(frame));
+}
+
+TEST(CheckpointStability, InventoryRestoreRejectsHostilePartySize) {
+  InventoryFrame frame;
+  frame.first_party_count = kHostileCount;
+  EXPECT_FALSE(restore_inventory(frame));
+}
+
+TEST(CheckpointStability, InventoryRestoreRejectsOutOfRangeReservationState) {
+  InventoryFrame frame;
+  frame.reservations[1].state = static_cast<std::uint8_t>(airline::ReservationState::Expired) + 1;
+  EXPECT_FALSE(restore_inventory(frame));
+  frame.reservations[1].state = 0xFF;
+  EXPECT_FALSE(restore_inventory(frame));
+}
+
+// --- SmsGateway ------------------------------------------------------------
+
+// A gateway checkpoint written field by field, in the layout
+// SmsGateway::checkpoint uses: a delivered OTP, a boarding pass waiting on a
+// carrier retry, and that retry.
+struct GatewayFrame {
+  struct Record {
+    std::uint8_t type;
+    std::optional<std::string> booking_ref;
+    bool delivered;
+    std::uint8_t failure;
+  };
+  struct Retry {
+    sim::SimTime due;
+    std::uint64_t index;
+    std::int64_t attempt;
+  };
+  std::vector<Record> log = {
+      {static_cast<std::uint8_t>(sms::SmsType::Otp), std::nullopt, true,
+       static_cast<std::uint8_t>(sms::SmsFailure::None)},
+      {static_cast<std::uint8_t>(sms::SmsType::BoardingPass), "ABC123", false,
+       static_cast<std::uint8_t>(sms::SmsFailure::CarrierTransient)}};
+  std::vector<Retry> retries = {{sim::minutes(5), 1, 2}};
+  std::uint8_t breaker_state = 0;  // Closed
+  std::optional<std::uint64_t> log_count;
+  std::optional<std::uint64_t> daily_count;
+  std::optional<std::uint64_t> retry_count;
+
+  [[nodiscard]] std::string bytes() const {
+    util::ByteWriter out;
+    out.u64(log_count.value_or(log.size()));
+    for (const Record& r : log) {
+      out.i64(sim::minutes(1));
+      out.u16(net::CountryCode('U', 'Z').packed());
+      out.str("901234567");
+      out.u8(r.type);
+      out.u64(7);
+      out.boolean(r.booking_ref.has_value());
+      if (r.booking_ref) out.str(*r.booking_ref);
+      out.i64(sim::hours(1));  // deadline
+      out.boolean(r.delivered);
+      out.u8(r.failure);
+      out.i64(1);
+      out.i64(r.delivered ? sim::minutes(1) : -1);
+      out.i64(20'000);
+      out.i64(r.delivered ? 5'000 : 0);
+    }
+    out.i64(40'000);  // total app cost
+    out.i64(sim::kDay);
+    out.u64(daily_count.value_or(1));
+    out.f64(1.0);
+    out.i64(0);  // quota day
+    out.u64(2);  // quota used
+    out.u8(breaker_state);
+    for (int field = 0; field < 2; ++field) out.u64(0);
+    out.boolean(false);
+    out.i64(0);
+    for (int field = 0; field < 2; ++field) out.u64(0);
+    sim::Rng(0xF417).checkpoint(out);
+    out.u64(retry_count.value_or(retries.size()));
+    for (const Retry& r : retries) {
+      out.i64(r.due);
+      out.u64(r.index);
+      out.i64(r.attempt);
+    }
+    return out.take();
+  }
+};
+
+// Restores `frame` into a fresh gateway and re-checkpoints it; nullopt when
+// the decoder rejects the frame. A rejected frame's retry queue is drained
+// too, which must stay inside the restored log.
+std::optional<std::string> restore_gateway(const GatewayFrame& frame) {
+  const sms::CarrierNetwork network(sms::TariffTable::standard(), sms::CarrierPolicy{});
+  sms::SmsGateway gateway(network, sms::GatewayConfig{});
+  const std::string bytes = frame.bytes();
+  util::ByteReader in(bytes);
+  gateway.restore(in);
+  if (!in.exhausted()) {
+    gateway.process_retries(sim::days(1));
+    return std::nullopt;
+  }
+  return checkpoint_bytes(gateway);
+}
+
+TEST(CheckpointStability, SmsGatewayRestoreAcceptsTheHandWrittenFrame) {
+  const GatewayFrame frame;
+  EXPECT_EQ(restore_gateway(frame), frame.bytes());
+}
+
+TEST(CheckpointStability, SmsGatewayRestoreRejectsHostileLogCount) {
+  GatewayFrame frame;
+  frame.log_count = kHostileCount;
+  EXPECT_FALSE(restore_gateway(frame));
+}
+
+TEST(CheckpointStability, SmsGatewayRestoreRejectsHostileDailySeriesCount) {
+  GatewayFrame frame;
+  frame.daily_count = kHostileCount;
+  EXPECT_FALSE(restore_gateway(frame));
+}
+
+TEST(CheckpointStability, SmsGatewayRestoreRejectsOutOfRangeBreakerState) {
+  GatewayFrame frame;
+  frame.breaker_state = static_cast<std::uint8_t>(fault::CircuitBreaker::State::HalfOpen) + 1;
+  EXPECT_FALSE(restore_gateway(frame));
+}
+
+TEST(CheckpointStability, SmsGatewayRestoreRejectsHostileRetryCount) {
+  GatewayFrame frame;
+  frame.retry_count = kHostileCount;
+  EXPECT_FALSE(restore_gateway(frame));
+}
+
+TEST(CheckpointStability, SmsGatewayRestoreRejectsOutOfRangeSmsType) {
+  GatewayFrame frame;
+  frame.log[1].type = static_cast<std::uint8_t>(sms::SmsType::Notification) + 1;
+  EXPECT_FALSE(restore_gateway(frame));
+}
+
+TEST(CheckpointStability, SmsGatewayRestoreRejectsOutOfRangeSmsFailure) {
+  GatewayFrame frame;
+  frame.log[1].failure = static_cast<std::uint8_t>(sms::SmsFailure::DeadlineExpired) + 1;
+  EXPECT_FALSE(restore_gateway(frame));
+}
+
+TEST(CheckpointStability, SmsGatewayRestoreRejectsARetryPastTheLog) {
+  // process_retries would hand this index to attempt_delivery, which writes
+  // the record it names.
+  GatewayFrame frame;
+  frame.retries[0].index = frame.log.size();
+  EXPECT_FALSE(restore_gateway(frame));
+  frame.retries[0].index = kHostileCount;
+  EXPECT_FALSE(restore_gateway(frame));
 }
 
 }  // namespace

@@ -7,7 +7,6 @@
 
 #include "core/obs/metrics.hpp"
 #include "core/obs/obs.hpp"
-#include "core/obs/profile.hpp"
 #include "core/obs/trace.hpp"
 
 namespace fraudsim::obs {
@@ -402,54 +401,6 @@ TEST(TraceRecorder, ClearResetsTheRingButNotTheCounter) {
   recorder.clear();
   EXPECT_EQ(recorder.completed().size(), 0u);
   EXPECT_EQ(recorder.traces_started(), 1u);
-}
-
-// --- Profiler ---------------------------------------------------------------
-
-TEST(Profiler, DisabledScopedTimerRecordsNothing) {
-  Profiler& profiler = Profiler::instance();
-  const bool was_enabled = profiler.enabled();
-  profiler.set_enabled(false);
-  profiler.reset();
-  {
-    const ScopedTimer timer(profiler.phase("test.phase.disabled"));
-  }
-  for (const auto& phase : profiler.totals()) {
-    EXPECT_NE(phase.name, "test.phase.disabled");
-  }
-  profiler.set_enabled(was_enabled);
-}
-
-TEST(Profiler, EnabledScopedTimerAccumulates) {
-  Profiler& profiler = Profiler::instance();
-  const bool was_enabled = profiler.enabled();
-  profiler.set_enabled(true);
-  profiler.reset();
-  const PhaseId id = profiler.phase("test.phase.enabled");
-  {
-    const ScopedTimer timer(id);
-  }
-  {
-    const ScopedTimer timer(id);
-  }
-  bool found = false;
-  for (const auto& phase : profiler.totals()) {
-    if (phase.name == "test.phase.enabled") {
-      found = true;
-      EXPECT_EQ(phase.calls, 2u);
-    }
-  }
-  EXPECT_TRUE(found);
-  EXPECT_NE(profiler.report().find("test.phase.enabled"), std::string::npos);
-  profiler.reset();
-  profiler.set_enabled(was_enabled);
-}
-
-TEST(Profiler, PhaseIdsAreStablePerName) {
-  Profiler& profiler = Profiler::instance();
-  const PhaseId a = profiler.phase("test.phase.stable");
-  const PhaseId b = profiler.phase("test.phase.stable");
-  EXPECT_EQ(a, b);
 }
 
 // --- Observability bundle ---------------------------------------------------

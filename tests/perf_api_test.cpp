@@ -1,9 +1,10 @@
-// Hot-path speed campaign: the contracts behind the batched detection API,
-// the arena/interned admit path, and the perf gatekeeper's probes.
+// Hot-path speed campaign: the contracts behind the batched detection API
+// and the arena/interned admit path.
 //
 //   * batched score_batch == the scalar adapter the detect.batch.run fault
 //     falls back to, byte-for-byte, across seeds and epoch configs
-//   * util::Arena reset/reuse semantics and allocation accounting
+//   * util::Arena reset/reuse semantics and allocation accounting, and the
+//     exact arena traffic of one admitted request under the §V limits
 //   * util::InternTable id recycling and exact-id checkpoint/restore, and
 //     restore rejecting hostile frames
 //   * SlidingWindowRateLimiter agrees with a string-keyed reference model on
@@ -32,6 +33,7 @@
 #include "core/mitigate/rules.hpp"
 #include "core/obs/metrics.hpp"
 #include "core/scenario/env.hpp"
+#include "fingerprint/population.hpp"
 #include "util/arena.hpp"
 #include "util/archive.hpp"
 #include "util/intern.hpp"
@@ -147,6 +149,65 @@ TEST(Arena, OversizedAllocationGetsDedicatedChunk) {
   const std::string big(1000, 'x');
   EXPECT_EQ(arena.copy(big), big);
   EXPECT_GE(arena.stats().high_water, 1000u);
+}
+
+// The admit path under the paper's §V posture: global, per-IP, per-session,
+// per-fingerprint and per-booking limits all active, set high enough that
+// nothing denies (a denial would stop key construction early). Sessions are
+// all fresh and IPs cycle through 2048 addresses; sim time advances 64 s
+// every 64 requests, so the limiter's stale-key sweep runs and ids recycle.
+// Per request the global key is a literal, the IP, session and fingerprint
+// keys are one arena rendering each, and a booking key without a reference
+// renders the session and then prefixes it: five allocations, all inside the
+// arena's first chunk, so the counts are exact rather than tolerances.
+TEST(AdmitArena, FiveKeyAllocationsPerAdmitAndNoChunkAfterWarmup) {
+  scenario::EnvConfig config;
+  config.seed = 11;
+  scenario::Env env(config);
+  mitigate::RuleEngine engine(env.sim);
+  constexpr std::uint32_t kNeverDeny = 1u << 30;
+  engine.add_rate_limit({"global", std::nullopt, mitigate::RateKey::Global, kNeverDeny, sim::kHour});
+  engine.add_rate_limit({"ip", std::nullopt, mitigate::RateKey::ByIp, kNeverDeny, sim::kHour});
+  engine.add_rate_limit(
+      {"session", std::nullopt, mitigate::RateKey::BySession, kNeverDeny, sim::kHour});
+  engine.add_rate_limit(
+      {"fp", std::nullopt, mitigate::RateKey::ByFingerprint, kNeverDeny, sim::kHour});
+  engine.add_rate_limit(
+      {"booking", std::nullopt, mitigate::RateKey::ByBookingRef, kNeverDeny, sim::kDay});
+  engine.bind_metrics(&env.app.metrics());
+  env.app.set_policy(&engine);
+
+  app::ClientContext ctx;
+  fp::derive_rendering_hashes(ctx.fingerprint);
+  sim::SimTime t = 0;
+  std::size_t seq = 0;
+  std::size_t served = 0;
+  const auto drive = [&](std::size_t count) {
+    for (std::size_t i = 0; i < count; ++i, ++seq) {
+      if (seq % 64 == 0) {
+        t += sim::seconds(64);
+        env.sim.run_until(t);
+      }
+      ctx.session = web::SessionId{seq + 1};
+      ctx.ip = net::IpV4{0x10000000u + static_cast<std::uint32_t>(seq % 2048)};
+      if (env.app.browse(ctx, web::Endpoint::SearchFlights, web::HttpMethod::Get) ==
+          app::CallStatus::Ok) {
+        ++served;
+      }
+    }
+  };
+  constexpr std::size_t kWarmup = 5'000;
+  constexpr std::size_t kAdmits = 20'000;
+  drive(kWarmup);
+  const util::Arena::Stats before = engine.key_arena().stats();
+  EXPECT_EQ(before.chunk_allocs, 1u);
+  drive(kAdmits);
+  const util::Arena::Stats after = engine.key_arena().stats();
+
+  EXPECT_EQ(served, kWarmup + kAdmits);
+  EXPECT_EQ(after.allocations - before.allocations, 5u * kAdmits);
+  EXPECT_EQ(after.resets - before.resets, kAdmits);
+  EXPECT_EQ(after.chunk_allocs, before.chunk_allocs);
 }
 
 // --- InternTable ------------------------------------------------------------
