@@ -90,7 +90,8 @@ chaos::ChaosEntry error_entry(const char* point, fault::FaultScenario scenario) 
   return entry;
 }
 
-void run_campaign_gate(const Scale& scale, const std::filesystem::path& work_dir) {
+void run_campaign_gate(const Scale& scale, const std::filesystem::path& work_dir,
+                       unsigned threads) {
   chaos::ChaosCampaignConfig campaign;
   campaign.base = soak_config(scale);
   campaign.generator = chaos::default_generator_config(scale.horizon);
@@ -98,6 +99,7 @@ void run_campaign_gate(const Scale& scale, const std::filesystem::path& work_dir
   for (std::uint64_t s = 1; s <= 20; ++s) campaign.schedule_seeds.push_back(s);
   for (std::uint64_t s = 101; s <= 110; ++s) campaign.scenario_seeds.push_back(s);
   campaign.work_dir = (work_dir / "campaign").string();
+  campaign.threads = threads;
 
   const auto report = chaos::run_chaos_campaign(campaign);
   std::cout << "\n=== CHAOS: campaign gate (" << report.jobs << " schedule x seed jobs) ===\n"
@@ -236,7 +238,7 @@ void run_chaos_off_gate(const Scale& scale, const std::filesystem::path& work_di
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
   const Scale scale = detect_scale();
   const std::filesystem::path work_dir =
       std::filesystem::temp_directory_path() / "fraudsim_exp_chaos_soak";
@@ -250,7 +252,7 @@ int main() {
 
   std::cout << "Running chaos soak (200-job campaign + shrink + chaos-off gates"
             << (scale.smoke ? ", smoke scale" : "") << ")...\n";
-  run_campaign_gate(scale, work_dir);
+  run_campaign_gate(scale, work_dir, bench::Options::parse(argc, argv).fleet_threads);
   run_shrink_gate(scale, work_dir);
   run_chaos_off_gate(scale, work_dir);
 

@@ -124,7 +124,7 @@ constexpr std::uint64_t kSeed = 4242;
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
   const Scale scale = detect_scale();
   const auto config = crash_config(scale, kSeed);
   const fs::path root = "exp_crash_recovery.tmp";
@@ -290,7 +290,9 @@ int main() {
   };
 
   std::cout << "Fleet: uninterrupted sweep, then prefix-crash + resume...\n";
-  const scenario::FleetReport full = scenario::run_fleet(jobs, run_one);
+  scenario::FleetOptions fleet_options;
+  fleet_options.threads = bench::Options::parse(argc, argv).fleet_threads;
+  const scenario::FleetReport full = scenario::run_fleet(jobs, run_one, fleet_options);
   const std::string full_table = full.render_table("fleet");
   std::ostringstream full_csv;
   full.write_csv(full_csv);
@@ -299,8 +301,8 @@ int main() {
   fs::remove_all(fleet_dir);
   const std::vector<scenario::FleetJob> prefix(jobs.begin(),
                                                jobs.begin() + jobs.size() / 2);
-  (void)scenario::run_fleet(prefix, run_one);
-  scenario::FleetOptions resume_options;
+  (void)scenario::run_fleet(prefix, run_one, fleet_options);
+  scenario::FleetOptions resume_options = fleet_options;
   resume_options.resume = resume_hook;
   const scenario::FleetReport resumed = scenario::run_fleet(jobs, run_one, resume_options);
   std::ostringstream resumed_csv;

@@ -147,7 +147,7 @@ constexpr std::uint64_t kBaseSeed = 3333;
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
   const std::size_t n_seeds = smoke() ? 2 : 3;
   std::vector<std::uint64_t> seeds;
   for (std::size_t i = 0; i < n_seeds; ++i) seeds.push_back(kBaseSeed + i);
@@ -174,8 +174,10 @@ int main() {
   };
 
   std::cout << "Running mixed traffic (4 simulated days) x " << n_seeds << " seeds...\n";
+  scenario::FleetOptions fleet_options;
+  fleet_options.threads = bench::Options::parse(argc, argv).fleet_threads;
   const scenario::FleetReport fleet_report =
-      scenario::run_fleet(scenario::cross_jobs({"mixed-traffic"}, seeds), run_one);
+      scenario::run_fleet(scenario::cross_jobs({"mixed-traffic"}, seeds), run_one, fleet_options);
   if (!base) {
     std::cout << "DET SHAPE: FAILED (missing base-seed run)\n";
     return 1;

@@ -56,7 +56,7 @@ constexpr std::uint64_t kBaseSeed = 4242;
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
   const Posture postures[] = {
       {"no defenses", false, 0, false, mitigate::ChallengeMode::Off, false},
       {"NiP cap 4 only", true, 4, false, mitigate::ChallengeMode::Off, false},
@@ -99,8 +99,10 @@ int main() {
 
   std::cout << "Running " << std::size(postures) << " mitigation postures x " << n_seeds
             << " seeds (3 simulated weeks each)...\n";
+  scenario::FleetOptions fleet_options;
+  fleet_options.threads = bench::Options::parse(argc, argv).fleet_threads;
   const scenario::FleetReport report =
-      scenario::run_fleet(scenario::cross_jobs(variant_names, seeds), run_one);
+      scenario::run_fleet(scenario::cross_jobs(variant_names, seeds), run_one, fleet_options);
 
   std::cout << "\n" << report.render_table("MIT: mitigation ablation (Airline A attack)")
             << "\n";

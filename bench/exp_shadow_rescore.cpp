@@ -101,7 +101,7 @@ constexpr std::uint64_t kBaseSeed = 777;
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
   const Scale scale = detect_scale();
   const std::size_t n_seeds = scale.smoke ? 2 : 3;
   std::vector<std::uint64_t> seeds;
@@ -145,9 +145,12 @@ int main() {
 
   std::cout << "Recording + re-scoring " << n_seeds << " live runs ("
             << (scale.smoke ? "smoke scale" : "2 simulated days each") << ")...\n";
+  scenario::FleetOptions fleet_options;
+  fleet_options.threads = bench::Options::parse(argc, argv).fleet_threads;
   scenario::FleetReport fleet_report;
   try {
-    fleet_report = scenario::run_fleet(scenario::cross_jobs({"shadow"}, seeds), run_one);
+    fleet_report =
+        scenario::run_fleet(scenario::cross_jobs({"shadow"}, seeds), run_one, fleet_options);
   } catch (const std::exception& e) {
     std::cerr << e.what() << "\n";
     return 1;

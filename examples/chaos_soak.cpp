@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "core/bench/options.hpp"
 #include "core/chaos/chaos.hpp"
 #include "core/chaos/runner.hpp"
 #include "core/scenario/replay_harness.hpp"
@@ -119,7 +120,8 @@ int main(int argc, char** argv) {
     campaign.scenario_seeds.push_back(s);
   }
   campaign.work_dir = work_dir;
-  if (args.size() == 5) campaign.threads = static_cast<unsigned>(std::stoul(args[4]));
+  campaign.threads = args.size() == 5 ? static_cast<unsigned>(std::stoul(args[4]))
+                                      : bench::Options::from_env().fleet_threads;
 
   std::cout << "chaos campaign: " << schedule_seeds << " schedules x " << scenario_seeds
             << " seeds, " << sim::format_time(horizon) << " horizon\n";

@@ -26,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "core/bench/options.hpp"
 #include "core/recover/atomic_file.hpp"
 #include "core/recover/manifest.hpp"
 #include "core/scenario/fleet.hpp"
@@ -108,7 +109,8 @@ int main(int argc, char** argv) {
   if (positional.empty() || positional.size() > 3) return usage();
   const std::filesystem::path out_dir = positional[0];
   scenario::FleetOptions options;
-  if (positional.size() >= 2) options.threads = static_cast<unsigned>(std::stoul(positional[1]));
+  options.threads = positional.size() >= 2 ? static_cast<unsigned>(std::stoul(positional[1]))
+                                           : bench::Options::from_env().fleet_threads;
   const std::size_t seeds_per_variant = positional.size() == 3 ? std::stoul(positional[2]) : 3;
 
   const std::vector<std::string> variants = {"defended", "defended+captcha", "undefended"};

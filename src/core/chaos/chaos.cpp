@@ -94,16 +94,14 @@ ChaosGeneratorConfig default_generator_config(sim::SimTime horizon) {
   ChaosGeneratorConfig config;
   config.horizon = horizon;
   // Every error-guarded dependency the platform registers today.
-  // "detect.batch.run" demotes detection runs to the base-class scalar
-  // adapter — a fault with byte-identical verdicts by contract.
   // "graph.ingest" drops events at the entity graph's admit-path tap — the
   // graph invariants must hold (and replay stay clean) through the outage.
   // "shard.exchange" injects transient barrier-exchange failures into the
   // sharded engine — charged as retries, never losses, so shard-conservation
   // must hold through it.
-  config.error_points = {"sms.carrier.send",  "detect.sweep.run",  "otp.deliver",
-                         "fp.store.record",   "app.policy.evaluate", "detect.batch.run",
-                         "graph.ingest",      "shard.exchange"};
+  config.error_points = {"sms.carrier.send", "detect.sweep.run",    "otp.deliver",
+                         "fp.store.record",  "app.policy.evaluate", "graph.ingest",
+                         "shard.exchange"};
   // Latency-capable sites: the request path charges it into the admission
   // model; the gateway charges it against the caller's deadline budget.
   config.latency_points = {"app.request.latency", "sms.carrier.send"};

@@ -84,7 +84,7 @@ struct ChaosCampaignConfig {
   std::vector<std::uint64_t> scenario_seeds;
   // Run directories and repro artifacts land under here.
   std::string work_dir;
-  unsigned threads = 0;  // 0 = resolve_fleet_threads()
+  unsigned threads = 0;  // 0 = hardware concurrency (resolve_fleet_threads)
   bool plant_oversell_bug = false;
   // Passed jobs' run directories are deleted unless set (failures and their
   // shrink scratch always persist for post-mortem).

@@ -9,6 +9,7 @@
 // trace spans.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -53,8 +54,7 @@ struct RequestView {
 
 // Per-epoch outcome of a batched evaluation: how many sessions the family
 // actually analysed in that epoch's view and how many alerts it emitted for
-// it. The base-class adapter fills this from the scalar path; a vectorized
-// override must report the same numbers.
+// it.
 struct BatchScore {
   std::uint64_t sessions_scored = 0;
   std::uint64_t alerts = 0;
@@ -70,22 +70,32 @@ class Detector {
   [[nodiscard]] virtual const char* fault_point() const = 0;
   [[nodiscard]] virtual DetectorCost cost() const = 0;
 
-  // Analyses the window and emits alerts. May throw: the pipeline catches
-  // and records the family as skipped — one faulting family never takes the
-  // run down.
-  virtual void evaluate(const RequestView& view, AlertSink& alerts) = 0;
-
-  // Batched entry point: scores every epoch view in one call, filling one
-  // BatchScore per view. The base implementation is an adapter that loops
-  // `evaluate` over the views, so an existing scalar detector works
-  // unmodified; hot families override it with a vectorized pass that shares
-  // work across epochs. Contract: alert bytes and order must be identical to
-  // the adapter's (evaluate on views[0], then views[1], ...). The adapter is
-  // also the pipeline's fallback when the "detect.batch.run" fault point
-  // fires, and tests diff an override against it byte-for-byte.
-  // `scores.size()` must equal `views.size()`.
+  // The family's one entry point: scores every epoch view in one call,
+  // emitting alerts for views[0], then views[1], ... and filling one
+  // BatchScore per view. Scoring N views at once must emit exactly what N
+  // one-view calls would, concatenated — a family may share work across
+  // views, never change verdicts. `scores.size()` must equal `views.size()`.
+  // May throw: the pipeline catches and records the family as skipped — one
+  // faulting family never takes the run down.
   virtual void score_batch(std::span<const RequestView> views, std::span<BatchScore> scores,
-                           AlertSink& alerts);
+                           AlertSink& alerts) = 0;
 };
+
+// The per-view loop for families with no multi-view kernel: runs
+// `score_view(view, alerts)` on each view in order and fills its BatchScore
+// from the sessions the family's cost class analyses and the alerts that
+// view emitted.
+template <typename ScoreView>
+void score_each_view(DetectorCost cost, std::span<const RequestView> views,
+                     std::span<BatchScore> scores, AlertSink& alerts,
+                     const ScoreView& score_view) {
+  assert(views.size() == scores.size());
+  for (std::size_t i = 0; i < views.size(); ++i) {
+    const std::size_t before = alerts.alerts().size();
+    score_view(views[i], alerts);
+    scores[i].sessions_scored = static_cast<std::uint64_t>(views[i].sessions_for(cost).size());
+    scores[i].alerts = static_cast<std::uint64_t>(alerts.alerts().size() - before);
+  }
+}
 
 }  // namespace fraudsim::detect

@@ -31,9 +31,8 @@ void emit_fp_alert(AlertSink& sink, const std::string& detector, const std::stri
   sink.emit(std::move(alert));
 }
 
-// The memoized half of the batched artifact/consistency path: judge every
-// stored fingerprint once (in for_each order — the order analyze emits in),
-// keeping only the flagged ones.
+// The memoized half of the artifact/consistency kernels: judge every stored
+// fingerprint once, in for_each order, keeping only the flagged ones.
 struct FlaggedFp {
   fp::FpHash hash;
   std::string reason;
@@ -79,18 +78,6 @@ bool ArtifactDetector::is_bot(const fp::Fingerprint& fingerprint, std::string* r
   return false;
 }
 
-void ArtifactDetector::analyze(const app::FingerprintStore& store,
-                               const std::vector<web::Session>& sessions, AlertSink& sink) const {
-  const auto by_fp = sessions_by_fp(sessions);
-  store.for_each([&](fp::FpHash hash, const fp::Fingerprint& fingerprint, std::uint64_t) {
-    std::string reason;
-    if (!is_bot(fingerprint, &reason)) return;
-    const auto it = by_fp.find(hash);
-    emit_fp_alert(sink, "fingerprint.artifact", reason, hash,
-                  it == by_fp.end() ? nullptr : it->second);
-  });
-}
-
 void ArtifactDetector::analyze_many(const app::FingerprintStore& store, SessionSets session_sets,
                                     AlertSink& sink,
                                     std::vector<std::size_t>* alerts_per_set) const {
@@ -110,19 +97,6 @@ bool ConsistencyDetector::is_bot(const fp::Fingerprint& fingerprint, std::string
   return true;
 }
 
-void ConsistencyDetector::analyze(const app::FingerprintStore& store,
-                                  const std::vector<web::Session>& sessions,
-                                  AlertSink& sink) const {
-  const auto by_fp = sessions_by_fp(sessions);
-  store.for_each([&](fp::FpHash hash, const fp::Fingerprint& fingerprint, std::uint64_t) {
-    std::string reason;
-    if (!is_bot(fingerprint, &reason)) return;
-    const auto it = by_fp.find(hash);
-    emit_fp_alert(sink, "fingerprint.consistency", reason, hash,
-                  it == by_fp.end() ? nullptr : it->second);
-  });
-}
-
 void ConsistencyDetector::analyze_many(const app::FingerprintStore& store,
                                        SessionSets session_sets, AlertSink& sink,
                                        std::vector<std::size_t>* alerts_per_set) const {
@@ -138,19 +112,6 @@ bool RarityDetector::is_rare(const app::FingerprintStore& store, fp::FpHash hash
   const auto observations = store.observations(hash);
   if (observations < min_observations_) return false;
   return store.frequency(hash) < rare_frequency_;
-}
-
-void RarityDetector::analyze(const app::FingerprintStore& store, AlertSink& sink) const {
-  store.for_each([&](fp::FpHash hash, const fp::Fingerprint&, std::uint64_t count) {
-    if (count < min_observations_) return;
-    if (store.frequency(hash) >= rare_frequency_) return;
-    Alert alert;
-    alert.detector = "fingerprint.rarity";
-    alert.severity = Severity::Info;
-    alert.explanation = "busy but rare fingerprint (" + std::to_string(count) + " observations)";
-    alert.fingerprint = hash;
-    sink.emit(std::move(alert));
-  });
 }
 
 void RarityDetector::analyze_repeated(const app::FingerprintStore& store, std::size_t repeats,

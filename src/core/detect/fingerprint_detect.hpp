@@ -30,10 +30,9 @@ using SessionSets = std::span<const std::vector<web::Session>* const>;
 class ArtifactDetector {
  public:
   [[nodiscard]] bool is_bot(const fp::Fingerprint& fingerprint, std::string* reason) const;
-  void analyze(const app::FingerprintStore& store, const std::vector<web::Session>& sessions,
-               AlertSink& sink) const;
-  // Batched: one is_bot pass over the store serves every session set. Alerts
-  // are byte-identical to calling analyze once per set in order.
+  // One is_bot pass over the store serves every session set: each set gets
+  // one alert per flagged stored fingerprint, keyed to a session of that set
+  // carrying it when there is one.
   void analyze_many(const app::FingerprintStore& store, SessionSets session_sets,
                     AlertSink& sink, std::vector<std::size_t>* alerts_per_set = nullptr) const;
 };
@@ -42,11 +41,8 @@ class ConsistencyDetector {
  public:
   explicit ConsistencyDetector(double min_score = 0.3);
   [[nodiscard]] bool is_bot(const fp::Fingerprint& fingerprint, std::string* reason) const;
-  void analyze(const app::FingerprintStore& store, const std::vector<web::Session>& sessions,
-               AlertSink& sink) const;
-  // Batched: the consistency rule set runs once per stored fingerprint
-  // instead of once per (fingerprint, epoch). Byte-identical to per-set
-  // analyze calls.
+  // The consistency rule set runs once per stored fingerprint, not once per
+  // (fingerprint, set); alerts as ArtifactDetector::analyze_many.
   void analyze_many(const app::FingerprintStore& store, SessionSets session_sets,
                     AlertSink& sink, std::vector<std::size_t>* alerts_per_set = nullptr) const;
 
@@ -61,10 +57,9 @@ class ConsistencyDetector {
 class RarityDetector {
  public:
   RarityDetector(double rare_frequency = 1e-4, std::uint64_t min_observations = 30);
-  void analyze(const app::FingerprintStore& store, AlertSink& sink) const;
-  // Batched: rarity is entirely window-independent, so the store is scanned
-  // once and the identical alert list is replayed `repeats` times (one per
-  // epoch view), matching per-epoch analyze calls byte-for-byte.
+  // Emits one alert per busy-but-rare stored fingerprint, `repeats` times
+  // (once per epoch view). Rarity is window-independent, so the store is
+  // scanned once and the alert list replayed.
   void analyze_repeated(const app::FingerprintStore& store, std::size_t repeats, AlertSink& sink,
                         std::vector<std::size_t>* alerts_per_repeat = nullptr) const;
   [[nodiscard]] bool is_rare(const app::FingerprintStore& store, fp::FpHash hash) const;

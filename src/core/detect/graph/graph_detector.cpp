@@ -41,54 +41,38 @@ std::vector<GraphDetector::ComponentVerdict> GraphDetector::scored_components(
   return out;
 }
 
-void GraphDetector::evaluate_view(const RequestView& view, AlertSink& alerts) const {
-  // Verdicts once per view; membership lookups are then O(1) per session.
-  std::unordered_map<std::uint32_t, const ComponentVerdict*> flagged;
-  const auto verdicts = scored_components(view.to);
-  for (const auto& v : verdicts) {
-    if (v.flagged) flagged.emplace(v.summary.id, &v);
-  }
-  if (flagged.empty()) return;
-  for (const web::Session& s : view.sessions_for(cost())) {
-    const auto node = graph_.find(NodeType::Session, s.id.str());
-    if (node == 0) continue;
-    const std::uint32_t cid = graph_.component_of(node);
-    const auto it = flagged.find(cid);
-    if (it == flagged.end()) continue;
-    const ComponentVerdict& v = *it->second;
-    Alert alert;
-    alert.time = view.to;
-    alert.detector = name();
-    alert.severity = Severity::Critical;
-    alert.explanation = "abuse-ring component " + std::to_string(cid) + ": " +
-                        std::to_string(v.summary.sessions) + " sessions share " +
-                        std::to_string(v.summary.fingerprints) + " fingerprints/" +
-                        std::to_string(v.summary.ips) + " ips/" +
-                        std::to_string(v.summary.tokens) + " payment tokens (sharing " +
-                        fixed2(v.sharing) + ", signal mass " + fixed2(v.signal_mass) + ")";
-    alert.session = s.id;
-    alert.actor = s.actor;
-    alerts.emit(std::move(alert));
-  }
-}
-
-void GraphDetector::evaluate(const RequestView& view, AlertSink& alerts) {
-  evaluate_view(view, alerts);
-}
-
 void GraphDetector::score_batch(std::span<const RequestView> views, std::span<BatchScore> scores,
                                 AlertSink& alerts) {
-  // Vectorized pass: the union-find partition rebuild is shared across every
-  // epoch (the graph's lazy partition cache), only the time-dependent signal
-  // decay re-evaluates per view. Alert bytes and BatchScore numbers are
-  // identical to the scalar adapter by construction (same per-view body, in
-  // view order).
-  for (std::size_t i = 0; i < views.size(); ++i) {
-    const std::size_t before = alerts.alerts().size();
-    evaluate_view(views[i], alerts);
-    scores[i].sessions_scored = views[i].sessions_for(cost()).size();
-    scores[i].alerts = static_cast<std::uint64_t>(alerts.alerts().size() - before);
-  }
+  score_each_view(cost(), views, scores, alerts, [this](const RequestView& view, AlertSink& sink) {
+    // Verdicts once per view; membership lookups are then O(1) per session.
+    std::unordered_map<std::uint32_t, const ComponentVerdict*> flagged;
+    const auto verdicts = scored_components(view.to);
+    for (const auto& v : verdicts) {
+      if (v.flagged) flagged.emplace(v.summary.id, &v);
+    }
+    if (flagged.empty()) return;
+    for (const web::Session& s : view.sessions_for(cost())) {
+      const auto node = graph_.find(NodeType::Session, s.id.str());
+      if (node == 0) continue;
+      const std::uint32_t cid = graph_.component_of(node);
+      const auto it = flagged.find(cid);
+      if (it == flagged.end()) continue;
+      const ComponentVerdict& v = *it->second;
+      Alert alert;
+      alert.time = view.to;
+      alert.detector = name();
+      alert.severity = Severity::Critical;
+      alert.explanation = "abuse-ring component " + std::to_string(cid) + ": " +
+                          std::to_string(v.summary.sessions) + " sessions share " +
+                          std::to_string(v.summary.fingerprints) + " fingerprints/" +
+                          std::to_string(v.summary.ips) + " ips/" +
+                          std::to_string(v.summary.tokens) + " payment tokens (sharing " +
+                          fixed2(v.sharing) + ", signal mass " + fixed2(v.signal_mass) + ")";
+      alert.session = s.id;
+      alert.actor = s.actor;
+      sink.emit(std::move(alert));
+    }
+  });
 }
 
 }  // namespace fraudsim::detect::graph

@@ -10,9 +10,10 @@
 //
 // A first-class detect::Detector: registered by DetectionPipeline::
 // build_detectors() once a graph is attached (enable_graph), guarded by the
-// "detect.graph.run" fault point, with a vectorized score_batch override
-// that shares the partition rebuild and component scoring across epoch views
-// while staying byte-identical to the scalar adapter.
+// "detect.graph.run" fault point. It scores view by view: component
+// verdicts are re-scored at each view's end (signals decay with time), while
+// the graph's lazy partition cache shares the union-find rebuild across
+// views.
 #pragma once
 
 #include <cstdint>
@@ -48,7 +49,6 @@ class GraphDetector final : public Detector {
   [[nodiscard]] const char* fault_point() const override { return "detect.graph.run"; }
   [[nodiscard]] DetectorCost cost() const override { return DetectorCost::Cheap; }
 
-  void evaluate(const RequestView& view, AlertSink& alerts) override;
   void score_batch(std::span<const RequestView> views, std::span<BatchScore> scores,
                    AlertSink& alerts) override;
 
@@ -67,8 +67,6 @@ class GraphDetector final : public Detector {
   [[nodiscard]] const EntityGraph& graph() const { return graph_; }
 
  private:
-  void evaluate_view(const RequestView& view, AlertSink& alerts) const;
-
   const EntityGraph& graph_;
   GraphDetectorConfig config_;
 };

@@ -7,37 +7,6 @@ IpReputationDetector::IpReputationDetector(const net::GeoDb& geo, IpReputationCo
 
 bool IpReputationDetector::is_datacenter(net::IpV4 ip) const { return geo_.is_datacenter(ip); }
 
-void IpReputationDetector::analyze(const std::vector<web::Session>& sessions,
-                                   AlertSink& sink) const {
-  // Count distinct sessions per address first.
-  std::unordered_map<std::uint32_t, std::uint64_t> sessions_per_ip;
-  for (const auto& session : sessions) {
-    if (session.requests.empty()) continue;
-    ++sessions_per_ip[session.requests.front().ip.value()];
-  }
-  for (const auto& session : sessions) {
-    if (session.requests.empty()) continue;
-    const auto ip = session.requests.front().ip;
-    const char* reason = nullptr;
-    if (config_.flag_datacenter && geo_.is_datacenter(ip)) {
-      reason = "datacenter exit address";
-    } else if (sessions_per_ip[ip.value()] > config_.max_sessions_per_ip) {
-      reason = "address shared across many sessions";
-    }
-    if (reason == nullptr) continue;
-    Alert alert;
-    alert.time = session.end();
-    alert.detector = "ip.reputation";
-    alert.severity = Severity::Warning;
-    alert.explanation = reason;
-    alert.ip = ip;
-    alert.session = session.id;
-    alert.actor = session.actor;
-    alert.fingerprint = session.requests.front().fp_hash;
-    sink.emit(std::move(alert));
-  }
-}
-
 void IpReputationDetector::analyze_many(
     std::span<const std::vector<web::Session>* const> session_sets, AlertSink& sink,
     std::vector<std::size_t>* alerts_per_set) const {

@@ -32,13 +32,11 @@ class IpReputationDetector {
  public:
   IpReputationDetector(const net::GeoDb& geo, IpReputationConfig config = {});
 
-  // Emits one alert per offending session.
-  void analyze(const std::vector<web::Session>& sessions, AlertSink& sink) const;
-
-  // Batched multi-epoch analysis: the datacenter classification of an
-  // address is epoch-independent, so one geo lookup per distinct address
-  // serves the whole batch; the shared-address count stays per-epoch. Alert
-  // bytes and order are identical to calling analyze once per set in order.
+  // Emits one alert per offending session, set by set in order; when
+  // `alerts_per_set` is non-null it receives one emitted-alert count per set.
+  // The datacenter classification of an address is set-independent, so one
+  // geo lookup per distinct address serves the whole batch; the
+  // shared-address count stays per set.
   void analyze_many(std::span<const std::vector<web::Session>* const> session_sets,
                     AlertSink& sink, std::vector<std::size_t>* alerts_per_set = nullptr) const;
 

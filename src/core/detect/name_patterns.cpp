@@ -142,14 +142,6 @@ NamePatternFindings NamePatternAnalyzer::analyze(
   return findings;
 }
 
-NamePatternFindings NamePatternAnalyzer::analyze(
-    const std::vector<airline::Reservation>& reservations) const {
-  std::vector<const airline::Reservation*> ptrs;
-  ptrs.reserve(reservations.size());
-  for (const auto& r : reservations) ptrs.push_back(&r);
-  return analyze(ptrs);
-}
-
 void NamePatternAnalyzer::analyze(const std::vector<const airline::Reservation*>& reservations,
                                   AlertSink& sink) const {
   const auto findings = analyze(reservations);

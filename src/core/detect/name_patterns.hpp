@@ -58,8 +58,6 @@ class NamePatternAnalyzer {
   // and the repeated keys' length buckets, not with all pairs of names.
   [[nodiscard]] NamePatternFindings analyze(
       const std::vector<const airline::Reservation*>& reservations) const;
-  [[nodiscard]] NamePatternFindings analyze(
-      const std::vector<airline::Reservation>& reservations) const;
 
   // Emits one alert per flagged PNR, signal by signal in PNR order.
   void analyze(const std::vector<const airline::Reservation*>& reservations,

@@ -47,34 +47,6 @@ NipWindowVerdict NipAnomalyDetector::evaluate_window(
   return verdict;
 }
 
-void NipAnomalyDetector::analyze(const std::vector<airline::Reservation>& reservations,
-                                 sim::SimTime from, sim::SimTime to, AlertSink& sink) const {
-  const auto verdict = evaluate_window(reservations, from, to);
-  if (!verdict.anomalous) return;
-  for (const int nip : verdict.anomalous_nips) {
-    Alert alert;
-    alert.time = to;
-    alert.detector = "nip.anomaly";
-    alert.severity = Severity::Critical;
-    alert.explanation = "NiP=" + std::to_string(nip) + " volume far above baseline (chi2=" +
-                        std::to_string(verdict.test.chi_square) + ")";
-    sink.emit(alert);
-    // Flag every window reservation at the anomalous NiP.
-    for (const auto& r : reservations) {
-      if (r.created < from || r.created >= to) continue;
-      if (r.nip() != nip) continue;
-      Alert res_alert = alert;
-      res_alert.severity = Severity::Warning;
-      res_alert.explanation = "reservation at anomalous NiP=" + std::to_string(nip);
-      res_alert.pnr = r.pnr;
-      res_alert.fingerprint = r.source_fp;
-      res_alert.ip = r.source_ip;
-      res_alert.actor = r.actor;
-      sink.emit(std::move(res_alert));
-    }
-  }
-}
-
 void NipAnomalyDetector::analyze_windows(const std::vector<airline::Reservation>& reservations,
                                          std::span<const Window> windows, AlertSink& sink,
                                          std::vector<std::size_t>* alerts_per_window) const {
@@ -83,8 +55,7 @@ void NipAnomalyDetector::analyze_windows(const std::vector<airline::Reservation>
   }
   // One pass over the reservation log bins every window at once. Windows may
   // overlap, so each reservation is credited to every window containing it;
-  // index lists stay in log order, which is what the per-window alert loop
-  // below relies on for byte-identical output.
+  // index lists stay in log order, so reservation alerts do too.
   std::vector<analytics::CategoricalHistogram<int>> hists(windows.size());
   std::vector<std::vector<std::size_t>> members(windows.size());
   for (std::size_t r = 0; r < reservations.size(); ++r) {

@@ -45,22 +45,16 @@ class NipAnomalyDetector {
       const std::vector<airline::Reservation>& reservations, sim::SimTime from,
       sim::SimTime to) const;
 
-  // Verdict from an already-binned window histogram (the batched path bins
+  // Verdict from an already-binned window histogram (analyze_windows bins
   // every window in one pass and judges each from its histogram).
   [[nodiscard]] NipWindowVerdict evaluate_window(
       const analytics::CategoricalHistogram<int>& observed) const;
 
-  // Emits alerts (one per anomalous NiP value) and flags the reservations at
-  // those NiP values inside the window.
-  void analyze(const std::vector<airline::Reservation>& reservations, sim::SimTime from,
-               sim::SimTime to, AlertSink& sink) const;
-
-  // Vectorized multi-window analysis: one pass over the reservation log bins
-  // every window's histogram and reservation index list, then each window is
-  // judged and alerted exactly as `analyze` would have — alert bytes and
-  // order are identical to calling `analyze` once per window in order. When
-  // `alerts_per_window` is non-null it receives one emitted-alert count per
-  // window.
+  // Judges each window in order: an anomalous window emits one alert per
+  // anomalous NiP value, each followed by one per window reservation at that
+  // value. One pass over the reservation log bins every window's histogram
+  // and reservation index list. When `alerts_per_window` is non-null it
+  // receives one emitted-alert count per window.
   struct Window {
     sim::SimTime from = 0;
     sim::SimTime to = 0;

@@ -14,43 +14,48 @@ namespace {
 
 // Adapter wrapping one concrete analyzer into the uniform Detector interface.
 // The pipeline composes its family list from these; no analyzer needs to know
-// about budgets, fault points, brownout strides, or observability. Families
-// with a vectorized multi-epoch implementation supply `batch` as well; the
-// rest inherit the base-class adapter (evaluate per epoch).
+// about budgets, fault points, brownout strides, or observability. `score`
+// is the family's one scoring body: its multi-view kernel, or the per-view
+// loop (score_each_view) for families without one.
 class FunctionDetector final : public Detector {
  public:
-  using Fn = std::function<void(const RequestView&, AlertSink&)>;
-  using BatchFn =
+  using ScoreFn =
       std::function<void(std::span<const RequestView>, std::span<BatchScore>, AlertSink&)>;
 
-  FunctionDetector(const char* name, const char* fault_point, DetectorCost cost, Fn fn,
-                   BatchFn batch = nullptr)
-      : name_(name),
-        fault_point_(fault_point),
-        cost_(cost),
-        fn_(std::move(fn)),
-        batch_(std::move(batch)) {}
+  FunctionDetector(const char* name, const char* fault_point, DetectorCost cost, ScoreFn score)
+      : name_(name), fault_point_(fault_point), cost_(cost), score_(std::move(score)) {}
 
   [[nodiscard]] const char* name() const override { return name_; }
   [[nodiscard]] const char* fault_point() const override { return fault_point_; }
   [[nodiscard]] DetectorCost cost() const override { return cost_; }
-  void evaluate(const RequestView& view, AlertSink& alerts) override { fn_(view, alerts); }
   void score_batch(std::span<const RequestView> views, std::span<BatchScore> scores,
                    AlertSink& alerts) override {
-    if (batch_) {
-      batch_(views, scores, alerts);
-      return;
-    }
-    Detector::score_batch(views, scores, alerts);
+    score_(views, scores, alerts);
   }
 
  private:
   const char* name_;
   const char* fault_point_;
   DetectorCost cost_;
-  Fn fn_;
-  BatchFn batch_;
+  ScoreFn score_;
 };
+
+// Fills the BatchScores of a multi-view kernel (every such family is cheap,
+// so it scores each view's full session list) from its per-view alert counts.
+void fill_scores(std::span<const RequestView> views, const std::vector<std::size_t>& counts,
+                 std::span<BatchScore> scores) {
+  for (std::size_t i = 0; i < views.size(); ++i) {
+    scores[i] = {views[i].sessions.size(), counts[i]};
+  }
+}
+
+// One session list per view, the input of the session-set kernels.
+std::vector<const std::vector<web::Session>*> session_sets(std::span<const RequestView> views) {
+  std::vector<const std::vector<web::Session>*> sets;
+  sets.reserve(views.size());
+  for (const auto& v : views) sets.push_back(&v.sessions);
+  return sets;
+}
 
 }  // namespace
 
@@ -92,7 +97,6 @@ PipelineStats PipelineView::stats() const {
   s.sessions_in = metrics_->counter_value("detect.batch.sessions_in");
   s.sessions_scored = metrics_->counter_value("detect.batch.sessions_scored");
   s.sessions_skipped = metrics_->counter_value("detect.batch.sessions_skipped");
-  s.batch_fallbacks = metrics_->counter_value("detect.batch.fallbacks");
   return s;
 }
 
@@ -141,7 +145,6 @@ const DetectionPipeline::BatchHandles& DetectionPipeline::batch_handles() const 
       batch_handles_.sessions_in = obs_->metrics.counter("detect.batch.sessions_in");
       batch_handles_.sessions_scored = obs_->metrics.counter("detect.batch.sessions_scored");
       batch_handles_.sessions_skipped = obs_->metrics.counter("detect.batch.sessions_skipped");
-      batch_handles_.fallbacks = obs_->metrics.counter("detect.batch.fallbacks");
     }
     batch_handles_.bound = true;
   }
@@ -183,123 +186,100 @@ void DetectionPipeline::train_behavior(const app::Application& application, sim:
 std::vector<std::unique_ptr<Detector>> DetectionPipeline::build_detectors() const {
   std::vector<std::unique_ptr<Detector>> detectors;
   auto add = [&detectors](const char* name, const char* point, DetectorCost cost,
-                          FunctionDetector::Fn fn, FunctionDetector::BatchFn batch = nullptr) {
-    detectors.push_back(
-        std::make_unique<FunctionDetector>(name, point, cost, std::move(fn), std::move(batch)));
+                          FunctionDetector::ScoreFn score) {
+    detectors.push_back(std::make_unique<FunctionDetector>(name, point, cost, std::move(score)));
+  };
+  // Families with no multi-view kernel score view by view.
+  using ViewFn = std::function<void(const RequestView&, AlertSink&)>;
+  auto add_per_view = [&add](const char* name, const char* point, DetectorCost cost,
+                             ViewFn score_view) {
+    add(name, point, cost,
+        [cost, score_view = std::move(score_view)](std::span<const RequestView> views,
+                                                   std::span<BatchScore> scores,
+                                                   AlertSink& alerts) {
+          score_each_view(cost, views, scores, alerts, score_view);
+        });
   };
 
   // Behaviour-based.
-  add("behavior.volume", "detect.volume.run", DetectorCost::Cheap,
-      [this](const RequestView& view, AlertSink& alerts) {
-        VolumeThresholdDetector volume(config_.volume);
-        volume.analyze(view.sessions, alerts);
-      });
+  add_per_view("behavior.volume", "detect.volume.run", DetectorCost::Cheap,
+               [this](const RequestView& view, AlertSink& alerts) {
+                 VolumeThresholdDetector volume(config_.volume);
+                 volume.analyze(view.sessions, alerts);
+               });
   if (classifier_.trained()) {
-    add("behavior.classifier", "detect.behavior.run", DetectorCost::Expensive,
-        [this](const RequestView& view, AlertSink& alerts) {
-          classifier_.analyze(view.sampled_sessions, alerts);
-        });
+    add_per_view("behavior.classifier", "detect.behavior.run", DetectorCost::Expensive,
+                 [this](const RequestView& view, AlertSink& alerts) {
+                   classifier_.analyze(view.sampled_sessions, alerts);
+                 });
   }
   if (navigation_.fitted()) {
-    add("behavior.navigation", "detect.navigation.run", DetectorCost::Expensive,
-        [this](const RequestView& view, AlertSink& alerts) {
-          navigation_.analyze(view.sampled_sessions, alerts);
-        });
+    add_per_view("behavior.navigation", "detect.navigation.run", DetectorCost::Expensive,
+                 [this](const RequestView& view, AlertSink& alerts) {
+                   navigation_.analyze(view.sampled_sessions, alerts);
+                 });
   }
 
   // Network reputation (enabled once a geo database is supplied).
   if (geo_ != nullptr) {
     add("ip.reputation", "detect.ip.run", DetectorCost::Cheap,
-        [this](const RequestView& view, AlertSink& alerts) {
-          IpReputationDetector ip_detector(*geo_, config_.ip_reputation);
-          ip_detector.analyze(view.sessions, alerts);
-        },
         [this](std::span<const RequestView> views, std::span<BatchScore> scores,
                AlertSink& alerts) {
-          if (views.empty()) return;
           IpReputationDetector ip_detector(*geo_, config_.ip_reputation);
-          std::vector<const std::vector<web::Session>*> sets;
-          sets.reserve(views.size());
-          for (const auto& v : views) sets.push_back(&v.sessions);
           std::vector<std::size_t> counts;
-          ip_detector.analyze_many(sets, alerts, &counts);
-          for (std::size_t i = 0; i < views.size(); ++i) {
-            scores[i] = {views[i].sessions.size(), counts[i]};
-          }
+          ip_detector.analyze_many(session_sets(views), alerts, &counts);
+          fill_scores(views, counts, scores);
         });
   }
 
   // Pointer biometrics (§V): judge every sample captured in the window
   // (every stride-th sample under brownout).
   if (config_.biometrics_enabled) {
-    add("biometric.pointer", "detect.biometric.run", DetectorCost::Expensive,
-        [this](const RequestView& view, AlertSink& alerts) {
-          biometrics::BiometricDetector biometric(config_.biometric_thresholds);
-          std::size_t sample_idx = 0;
-          for (const auto& record : view.application.biometric_log()) {
-            if (record.time < view.from || record.time >= view.to) continue;
-            if (view.stride > 1 &&
-                (sample_idx++ % static_cast<std::size_t>(view.stride)) != 0) {
-              continue;
-            }
-            std::string reason;
-            if (!biometric.observe(record.features, &reason)) continue;
-            Alert alert;
-            alert.time = record.time;
-            alert.detector = "biometric.pointer";
-            alert.severity = Severity::Warning;
-            alert.explanation = reason;
-            alert.session = record.session;
-            alert.actor = record.actor;
-            alerts.emit(std::move(alert));
-          }
-        });
+    add_per_view("biometric.pointer", "detect.biometric.run", DetectorCost::Expensive,
+                 [this](const RequestView& view, AlertSink& alerts) {
+                   biometrics::BiometricDetector biometric(config_.biometric_thresholds);
+                   std::size_t sample_idx = 0;
+                   for (const auto& record : view.application.biometric_log()) {
+                     if (record.time < view.from || record.time >= view.to) continue;
+                     if (view.stride > 1 &&
+                         (sample_idx++ % static_cast<std::size_t>(view.stride)) != 0) {
+                       continue;
+                     }
+                     std::string reason;
+                     if (!biometric.observe(record.features, &reason)) continue;
+                     Alert alert;
+                     alert.time = record.time;
+                     alert.detector = "biometric.pointer";
+                     alert.severity = Severity::Warning;
+                     alert.explanation = reason;
+                     alert.session = record.session;
+                     alert.actor = record.actor;
+                     alerts.emit(std::move(alert));
+                   }
+                 });
   }
 
-  // Knowledge-based. Session-set pointers for the batched fingerprint paths.
-  auto session_sets = [](std::span<const RequestView> views) {
-    std::vector<const std::vector<web::Session>*> sets;
-    sets.reserve(views.size());
-    for (const auto& v : views) sets.push_back(&v.sessions);
-    return sets;
-  };
+  // Knowledge-based. Every view of a run shares one application, so the
+  // store-wide kernels read it from the first view.
   add("fingerprint.artifact", "detect.artifact.run", DetectorCost::Cheap,
-      [](const RequestView& view, AlertSink& alerts) {
-        ArtifactDetector artifacts;
-        artifacts.analyze(view.application.fingerprints(), view.sessions, alerts);
-      },
-      [session_sets](std::span<const RequestView> views, std::span<BatchScore> scores,
-                     AlertSink& alerts) {
+      [](std::span<const RequestView> views, std::span<BatchScore> scores, AlertSink& alerts) {
         if (views.empty()) return;
         ArtifactDetector artifacts;
         std::vector<std::size_t> counts;
         artifacts.analyze_many(views.front().application.fingerprints(), session_sets(views),
                                alerts, &counts);
-        for (std::size_t i = 0; i < views.size(); ++i) {
-          scores[i] = {views[i].sessions.size(), counts[i]};
-        }
+        fill_scores(views, counts, scores);
       });
   add("fingerprint.consistency", "detect.consistency.run", DetectorCost::Cheap,
-      [](const RequestView& view, AlertSink& alerts) {
-        ConsistencyDetector consistency;
-        consistency.analyze(view.application.fingerprints(), view.sessions, alerts);
-      },
-      [session_sets](std::span<const RequestView> views, std::span<BatchScore> scores,
-                     AlertSink& alerts) {
+      [](std::span<const RequestView> views, std::span<BatchScore> scores, AlertSink& alerts) {
         if (views.empty()) return;
         ConsistencyDetector consistency;
         std::vector<std::size_t> counts;
         consistency.analyze_many(views.front().application.fingerprints(), session_sets(views),
                                  alerts, &counts);
-        for (std::size_t i = 0; i < views.size(); ++i) {
-          scores[i] = {views[i].sessions.size(), counts[i]};
-        }
+        fill_scores(views, counts, scores);
       });
   add("fingerprint.rarity", "detect.rarity.run", DetectorCost::Cheap,
-      [this](const RequestView& view, AlertSink& alerts) {
-        RarityDetector rarity(config_.rarity_frequency, config_.rarity_min_observations);
-        rarity.analyze(view.application.fingerprints(), alerts);
-      },
       [this](std::span<const RequestView> views, std::span<BatchScore> scores,
              AlertSink& alerts) {
         if (views.empty()) return;
@@ -307,16 +287,11 @@ std::vector<std::unique_ptr<Detector>> DetectionPipeline::build_detectors() cons
         std::vector<std::size_t> counts;
         rarity.analyze_repeated(views.front().application.fingerprints(), views.size(), alerts,
                                 &counts);
-        for (std::size_t i = 0; i < views.size(); ++i) {
-          scores[i] = {views[i].sessions.size(), counts[i]};
-        }
+        fill_scores(views, counts, scores);
       });
 
   // Feature-level (the paper's advanced detectors).
   add("nip.anomaly", "detect.nip.run", DetectorCost::Cheap,
-      [this](const RequestView& view, AlertSink& alerts) {
-        nip_.analyze(view.application.inventory().reservations(), view.from, view.to, alerts);
-      },
       [this](std::span<const RequestView> views, std::span<BatchScore> scores,
              AlertSink& alerts) {
         if (views.empty()) return;
@@ -326,33 +301,24 @@ std::vector<std::unique_ptr<Detector>> DetectionPipeline::build_detectors() cons
         std::vector<std::size_t> counts;
         nip_.analyze_windows(views.front().application.inventory().reservations(), windows,
                              alerts, &counts);
-        for (std::size_t i = 0; i < views.size(); ++i) {
-          scores[i] = {views[i].sessions.size(), counts[i]};
-        }
+        fill_scores(views, counts, scores);
       });
-  add("name.patterns", "detect.names.run", DetectorCost::Cheap,
-      [this](const RequestView& view, AlertSink& alerts) {
-        NamePatternAnalyzer names(config_.names);
-        // Window-scope the reservations for identity analysis.
-        std::vector<const airline::Reservation*> window;
-        for (const auto& r : view.application.inventory().reservations()) {
-          if (r.created >= view.from && r.created < view.to) window.push_back(&r);
-        }
-        names.analyze(window, alerts);
-      });
+  add_per_view("name.patterns", "detect.names.run", DetectorCost::Cheap,
+               [this](const RequestView& view, AlertSink& alerts) {
+                 NamePatternAnalyzer names(config_.names);
+                 // Window-scope the reservations for identity analysis.
+                 std::vector<const airline::Reservation*> window;
+                 for (const auto& r : view.application.inventory().reservations()) {
+                   if (r.created >= view.from && r.created < view.to) window.push_back(&r);
+                 }
+                 names.analyze(window, alerts);
+               });
   add("sms.anomaly", "detect.sms.run", DetectorCost::Cheap,
-      [this](const RequestView& view, AlertSink& alerts) {
-        SmsAnomalyDetector sms(config_.sms);
-        // SMS surge baselines on the pre-window period of equal length.
-        const sim::SimTime baseline_from =
-            std::max<sim::SimTime>(0, view.from - (view.to - view.from));
-        sms.analyze(view.application.sms_gateway(), baseline_from, view.from, view.from, view.to,
-                    alerts);
-      },
       [this](std::span<const RequestView> views, std::span<BatchScore> scores,
              AlertSink& alerts) {
         if (views.empty()) return;
         SmsAnomalyDetector sms(config_.sms);
+        // SMS surge baselines on the pre-window period of equal length.
         std::vector<SmsAnomalyDetector::Window> windows;
         windows.reserve(views.size());
         for (const auto& v : views) {
@@ -362,15 +328,12 @@ std::vector<std::unique_ptr<Detector>> DetectionPipeline::build_detectors() cons
         }
         std::vector<std::size_t> counts;
         sms.analyze_windows(views.front().application.sms_gateway(), windows, alerts, &counts);
-        for (std::size_t i = 0; i < views.size(); ++i) {
-          scores[i] = {views[i].sessions.size(), counts[i]};
-        }
+        fill_scores(views, counts, scores);
       });
 
   // Structural (component-level) ring amplification over the entity graph.
-  // The only family implemented as a dedicated Detector subclass: it owns
-  // graph-wide state sharing across epochs that the FunctionDetector lambda
-  // shape cannot express.
+  // The only family implemented as a dedicated Detector subclass: it exposes
+  // its component verdicts (scored_components) to reports and benches.
   if (graph_ != nullptr) {
     detectors.push_back(std::make_unique<graph::GraphDetector>(*graph_, config_.graph));
   }
@@ -392,8 +355,8 @@ PipelineResult DetectionPipeline::run(const app::Application& application,
 
   // Epoch partition. The default (batch_epoch == 0) is ONE epoch spanning the
   // whole window. An opt-in positive batch_epoch slices the window into at
-  // most max_batch_epochs views; the batched path and the scalar fallback
-  // iterate the identical partition, so the two differ only in execution.
+  // most max_batch_epochs views, and every family scores all of them in one
+  // score_batch call.
   struct Epoch {
     sim::SimTime from = 0;
     sim::SimTime to = 0;
@@ -472,15 +435,9 @@ PipelineResult DetectionPipeline::run(const app::Application& application,
     if (views.size() > 1) trace.annotate("epochs", std::to_string(views.size()));
   }
 
-  // The "detect.batch.run" fault point demotes a run to the base-class
-  // scalar adapter (verdicts unchanged — that IS the reference
-  // implementation). It is consulted exactly once per run.
-  const bool batch_fault =
-      fault::FaultRegistry::global().point("detect.batch.run").should_fail(to);
   const BatchHandles& batch = batch_handles();
   batch.runs.inc();
   batch.epochs.inc(views.size());
-  if (batch_fault) batch.fallbacks.inc();
 
   // The interface layer: one loop applies budget accounting, fault-point
   // guarding, exception containment, per-family metrics/spans/profiling to
@@ -519,12 +476,7 @@ PipelineResult DetectionPipeline::run(const app::Application& application,
     const std::size_t alerts_before = result.alerts.alerts().size();
     std::vector<BatchScore> scores(views.size());
     try {
-      if (batch_fault) {
-        // Scalar reference: the base-class adapter, bypassing any override.
-        det->Detector::score_batch(views, scores, result.alerts);
-      } else {
-        det->score_batch(views, scores, result.alerts);
-      }
+      det->score_batch(views, scores, result.alerts);
       analysis_now += cost;
     } catch (const std::exception& e) {
       skip(std::string("exception: ") + e.what());

@@ -91,9 +91,7 @@ struct PipelineResult {
 };
 
 // Batch-accounting totals a pipeline has recorded into its bound metrics
-// registry. A run demoted to the scalar adapter by the "detect.batch.run"
-// fault point ticks the same values as a batched run (plus one fallback).
-// Conservation law (checked by the "detect-batch-conservation" platform
+// registry. Conservation law (checked by the "detect-batch-conservation" platform
 // invariant): sessions_in == sessions_scored + sessions_skipped.
 struct PipelineStats {
   std::uint64_t runs = 0;              // pipeline run() calls
@@ -101,7 +99,6 @@ struct PipelineStats {
   std::uint64_t sessions_in = 0;       // per-family session-views offered
   std::uint64_t sessions_scored = 0;   // ... actually analysed
   std::uint64_t sessions_skipped = 0;  // ... skipped (budget/fault/exception)
-  std::uint64_t batch_fallbacks = 0;   // runs forced onto the scalar adapter
 };
 
 // Typed read-only accessor over the pipeline counters in a MetricsRegistry.
@@ -160,9 +157,8 @@ class DetectionPipeline {
   // completes with the remaining families. Never throws for a single
   // detector failure.
   //
-  // Every family scores through Detector::score_batch. When the
-  // "detect.batch.run" fault point fires (also evaluated at `to`), the run
-  // demotes to the base-class scalar adapter instead; verdicts are the same.
+  // Every family scores all epoch views through one Detector::score_batch
+  // call.
   //
   // `analysis_budget` is a deadline on the modeled analysis clock (which
   // starts at `to` and advances per family by its per-session cost):
@@ -217,7 +213,6 @@ class DetectionPipeline {
     obs::Counter sessions_in;
     obs::Counter sessions_scored;
     obs::Counter sessions_skipped;
-    obs::Counter fallbacks;
     bool bound = false;
   };
   FamilyHandles& family_handles(const char* family) const;

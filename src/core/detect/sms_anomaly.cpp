@@ -76,52 +76,6 @@ std::optional<sim::SimTime> SmsAnomalyDetector::per_booking_trip_time(
   return std::nullopt;
 }
 
-namespace {
-
-void emit_window_alerts(const SmsAnomalyDetector& detector, const sms::SmsGateway& gateway,
-                        const SmsAnomalyDetector::Window& w,
-                        const std::optional<sim::SimTime>& path_trip,
-                        const std::optional<sim::SimTime>& booking_trip, AlertSink& sink) {
-  const auto& config = detector.config();
-  for (const auto& surge : detector.country_surges(gateway, w.baseline_from, w.baseline_to,
-                                                   w.during_from, w.during_to)) {
-    if (surge.surge_fraction < config.surge_threshold) continue;
-    if (surge.during * sim::to_days(w.during_to - w.during_from) < config.min_volume) continue;
-    Alert alert;
-    alert.time = w.during_to;
-    alert.detector = "sms.country-surge";
-    alert.severity = Severity::Critical;
-    alert.explanation = "SMS volume to " + surge.country.str() + " surged " +
-                        util::format_surge_percent(surge.surge_fraction);
-    sink.emit(std::move(alert));
-  }
-  if (path_trip) {
-    Alert alert;
-    alert.time = *path_trip;
-    alert.detector = "sms.path-rate";
-    alert.severity = Severity::Critical;
-    alert.explanation = "boarding-pass SMS path exceeded daily volume limit";
-    sink.emit(std::move(alert));
-  }
-  if (booking_trip) {
-    Alert alert;
-    alert.time = *booking_trip;
-    alert.detector = "sms.per-booking-rate";
-    alert.severity = Severity::Critical;
-    alert.explanation = "single booking reference exceeded SMS send limit";
-    sink.emit(std::move(alert));
-  }
-}
-
-}  // namespace
-
-void SmsAnomalyDetector::analyze(const sms::SmsGateway& gateway, sim::SimTime baseline_from,
-                                 sim::SimTime baseline_to, sim::SimTime during_from,
-                                 sim::SimTime during_to, AlertSink& sink) const {
-  emit_window_alerts(*this, gateway, {baseline_from, baseline_to, during_from, during_to},
-                     path_limit_trip_time(gateway), per_booking_trip_time(gateway), sink);
-}
-
 void SmsAnomalyDetector::analyze_windows(const sms::SmsGateway& gateway,
                                          std::span<const Window> windows, AlertSink& sink,
                                          std::vector<std::size_t>* alerts_per_window) const {
@@ -131,11 +85,39 @@ void SmsAnomalyDetector::analyze_windows(const sms::SmsGateway& gateway,
   // every window in the batch.
   const auto path_trip = path_limit_trip_time(gateway);
   const auto booking_trip = per_booking_trip_time(gateway);
-  for (std::size_t w = 0; w < windows.size(); ++w) {
+  for (std::size_t i = 0; i < windows.size(); ++i) {
+    const Window& w = windows[i];
     const std::size_t before = sink.alerts().size();
-    emit_window_alerts(*this, gateway, windows[w], path_trip, booking_trip, sink);
+    for (const auto& surge :
+         country_surges(gateway, w.baseline_from, w.baseline_to, w.during_from, w.during_to)) {
+      if (surge.surge_fraction < config_.surge_threshold) continue;
+      if (surge.during * sim::to_days(w.during_to - w.during_from) < config_.min_volume) continue;
+      Alert alert;
+      alert.time = w.during_to;
+      alert.detector = "sms.country-surge";
+      alert.severity = Severity::Critical;
+      alert.explanation = "SMS volume to " + surge.country.str() + " surged " +
+                          util::format_surge_percent(surge.surge_fraction);
+      sink.emit(std::move(alert));
+    }
+    if (path_trip) {
+      Alert alert;
+      alert.time = *path_trip;
+      alert.detector = "sms.path-rate";
+      alert.severity = Severity::Critical;
+      alert.explanation = "boarding-pass SMS path exceeded daily volume limit";
+      sink.emit(std::move(alert));
+    }
+    if (booking_trip) {
+      Alert alert;
+      alert.time = *booking_trip;
+      alert.detector = "sms.per-booking-rate";
+      alert.severity = Severity::Critical;
+      alert.explanation = "single booking reference exceeded SMS send limit";
+      sink.emit(std::move(alert));
+    }
     if (alerts_per_window != nullptr) {
-      (*alerts_per_window)[w] = sink.alerts().size() - before;
+      (*alerts_per_window)[i] = sink.alerts().size() - before;
     }
   }
 }

@@ -62,16 +62,10 @@ class SmsAnomalyDetector {
   [[nodiscard]] std::optional<sim::SimTime> per_booking_trip_time(
       const sms::SmsGateway& gateway) const;
 
-  // Emits surge alerts + whichever rate monitors trip.
-  void analyze(const sms::SmsGateway& gateway, sim::SimTime baseline_from,
-               sim::SimTime baseline_to, sim::SimTime during_from, sim::SimTime during_to,
-               AlertSink& sink) const;
-
-  // Vectorized multi-window analysis. The two rate monitors scan the whole
-  // gateway log and take no window parameters, so the batched path computes
-  // each trip time ONCE and replays it per window instead of rescanning the
-  // log window-count times; surges stay per-window. Alert bytes and order are
-  // identical to calling `analyze` once per window in order. When
+  // Emits, window by window in order, the window's surge alerts and then
+  // whichever rate monitors trip. The two rate monitors scan the whole
+  // gateway log and take no window parameters, so each trip time is computed
+  // once and replayed per window; surges stay per window. When
   // `alerts_per_window` is non-null it receives one emitted-alert count per
   // window.
   struct Window {

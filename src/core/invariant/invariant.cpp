@@ -234,8 +234,7 @@ void register_platform_invariants(InvariantRegistry& registry, const app::Applic
   // Detection-batch conservation: every session-view a pipeline run offered
   // to a detector family was either scored or recorded as skipped — the
   // batched execution path cannot silently drop (or double-count) work.
-  // Vacuously true while no metrics-bound pipeline has run. A run demoted to
-  // the scalar adapter by the "detect.batch.run" fault ticks the same counters.
+  // Vacuously true while no metrics-bound pipeline has run.
   registry.add("detect-batch-conservation", [&app](sim::SimTime) -> std::optional<std::string> {
     const auto& metrics = app.metrics();
     const std::uint64_t in = metrics.counter_value("detect.batch.sessions_in");

@@ -63,7 +63,8 @@ void MitigationController::sweep() {
   // carrying it have been flagged (popular configurations are shared with
   // legitimate users).
   detect::AlertSink sink;
-  nip_detector_.analyze(app_.inventory().reservations(), from, now, sink);
+  const detect::NipAnomalyDetector::Window nip_window{from, now};
+  nip_detector_.analyze_windows(app_.inventory().reservations(), {&nip_window, 1}, sink);
   std::vector<const airline::Reservation*> window;
   for (const auto& r : app_.inventory().reservations()) {
     if (r.created >= from && r.created < now) window.push_back(&r);

@@ -1,12 +1,10 @@
 #include "core/scenario/fleet.hpp"
 
 #include <atomic>
-#include <cstdlib>
 #include <exception>
 #include <thread>
 #include <utility>
 
-#include "core/bench/options.hpp"
 #include "core/fault/fault.hpp"
 #include "util/format.hpp"
 #include "util/stats.hpp"
@@ -130,8 +128,6 @@ void FleetReport::write_csv(std::ostream& out) const {
 
 unsigned resolve_fleet_threads(unsigned requested) {
   if (requested > 0) return requested;
-  const auto env = static_cast<unsigned>(bench::Options::env_u64("FRAUDSIM_FLEET_THREADS", 0));
-  if (env > 0) return env;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1u : hw;
 }

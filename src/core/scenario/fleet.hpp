@@ -104,8 +104,8 @@ struct FleetReport {
 };
 
 struct FleetOptions {
-  // 0 = resolve via resolve_fleet_threads() (FRAUDSIM_FLEET_THREADS, else
-  // hardware concurrency). The count is clamped to the number of jobs.
+  // 0 = hardware concurrency (resolve_fleet_threads). The count is clamped
+  // to the number of jobs.
   unsigned threads = 0;
   // Crash-recovery hook, consulted per job before running it: return the
   // persisted result of an earlier completed execution (job skipped, counted
@@ -116,8 +116,9 @@ struct FleetOptions {
   std::function<std::optional<FleetRunResult>(const FleetJob&)> resume;
 };
 
-// Thread-count resolution: explicit request > FRAUDSIM_FLEET_THREADS env var
-// > hardware concurrency (1 when unknown).
+// Thread-count resolution: the explicit request, else hardware concurrency
+// (1 when unknown). Bench and example mains take the request from
+// bench::Options (FRAUDSIM_FLEET_THREADS / --threads).
 [[nodiscard]] unsigned resolve_fleet_threads(unsigned requested = 0);
 
 // Runs every job and reduces. Jobs always execute on spawned worker threads

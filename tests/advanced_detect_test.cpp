@@ -123,7 +123,8 @@ TEST(IpReputation, FlagsDatacenterAndSharedAddresses) {
   }
 
   detect::AlertSink sink;
-  detector.analyze(sessions, sink);
+  const std::vector<const std::vector<web::Session>*> sets{&sessions};
+  detector.analyze_many(sets, sink);
   bool dc_flagged = false;
   bool res_flagged = false;
   int shared_flags = 0;

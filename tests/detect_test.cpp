@@ -138,7 +138,7 @@ TEST(RarityDetector, FlagsBusyRareFingerprints) {
   RarityDetector detector(0.01, 30);
   EXPECT_TRUE(detector.is_rare(store, odd.hash()));
   AlertSink sink;
-  detector.analyze(store, sink);
+  detector.analyze_repeated(store, 1, sink);
   bool found = false;
   for (const auto& a : sink.alerts()) {
     if (a.fingerprint == odd.hash()) found = true;
@@ -227,7 +227,8 @@ TEST(NipAnomaly, AttackWaveAtNipSixFires) {
   EXPECT_EQ(verdict.anomalous_nips.front(), 6);
 
   AlertSink sink;
-  detector.analyze(all, sim::kWeek, 2 * sim::kWeek, sink);
+  const NipAnomalyDetector::Window window{sim::kWeek, 2 * sim::kWeek};
+  detector.analyze_windows(all, {&window, 1}, sink);
   // One summary alert + one per flagged reservation.
   EXPECT_GT(sink.count(), 300u);
   std::size_t with_pnr = 0;
@@ -259,6 +260,15 @@ airline::Reservation reservation_with(const std::vector<airline::Passenger>& par
   return r;
 }
 
+// The analyzer takes a pointer view of the window it judges.
+std::vector<const airline::Reservation*> pointers(
+    const std::vector<airline::Reservation>& reservations) {
+  std::vector<const airline::Reservation*> out;
+  out.reserve(reservations.size());
+  for (const auto& r : reservations) out.push_back(&r);
+  return out;
+}
+
 TEST(NamePatterns, FlagsGibberishParties) {
   std::vector<airline::Reservation> reservations;
   reservations.push_back(reservation_with(
@@ -269,7 +279,7 @@ TEST(NamePatterns, FlagsGibberishParties) {
         reservation_with({workload::random_passenger(rng)}, "OK" + std::to_string(i)));
   }
   NamePatternAnalyzer analyzer;
-  const auto findings = analyzer.analyze(reservations);
+  const auto findings = analyzer.analyze(pointers(reservations));
   EXPECT_TRUE(findings.gibberish.contains("GIB001"));
   for (int i = 0; i < 10; ++i) {
     EXPECT_FALSE(findings.gibberish.contains("OK" + std::to_string(i)));
@@ -290,7 +300,7 @@ TEST(NamePatterns, FlagsBirthdateRotation) {
         reservation_with({workload::random_passenger(rng)}, "BG" + std::to_string(i)));
   }
   NamePatternAnalyzer analyzer;
-  const auto findings = analyzer.analyze(reservations);
+  const auto findings = analyzer.analyze(pointers(reservations));
   EXPECT_EQ(findings.birthdate_rotation.size(), 8u);
   // Distinct birthdates = distinct identities, so the repeated-identity
   // signal stays silent here; birthdate rotation is the right detector.
@@ -305,7 +315,7 @@ TEST(NamePatterns, FlagsRepeatedFullIdentity) {
     reservations.push_back(reservation_with({person}, "REP" + std::to_string(i)));
   }
   NamePatternAnalyzer analyzer;
-  const auto findings = analyzer.analyze(reservations);
+  const auto findings = analyzer.analyze(pointers(reservations));
   EXPECT_EQ(findings.repeated_identity.size(), 5u);
 }
 
@@ -323,7 +333,7 @@ TEST(NamePatterns, PopularNamesDoNotRotateAtScale) {
         reservation_with({workload::random_passenger(rng)}, "BGX" + std::to_string(i)));
   }
   NamePatternAnalyzer analyzer;
-  const auto findings = analyzer.analyze(reservations);
+  const auto findings = analyzer.analyze(pointers(reservations));
   for (int i = 0; i < 6; ++i) {
     EXPECT_FALSE(findings.birthdate_rotation.contains("JS" + std::to_string(i)));
   }
@@ -340,7 +350,7 @@ TEST(NamePatterns, FlagsPermutedFixedSet) {
   reservations.push_back(reservation_with({b, c, a}, "PERM3"));
   reservations.push_back(reservation_with({a, c, b}, "PERM4"));
   NamePatternAnalyzer analyzer;
-  const auto findings = analyzer.analyze(reservations);
+  const auto findings = analyzer.analyze(pointers(reservations));
   EXPECT_EQ(findings.permuted_party.size(), 4u);
 }
 
@@ -352,7 +362,7 @@ TEST(NamePatterns, FlagsMisspellingClusters) {
   reservations.push_back(reservation_with({{"Anna", "Martines", {1990, 1, 1}, ""}}, "MS3"));
   reservations.push_back(reservation_with({{"Anna", "Martinex", {1990, 1, 1}, ""}}, "MS4"));
   NamePatternAnalyzer analyzer;
-  const auto findings = analyzer.analyze(reservations);
+  const auto findings = analyzer.analyze(pointers(reservations));
   EXPECT_GE(findings.misspelling_cluster.size(), 4u);
 }
 
@@ -364,7 +374,7 @@ TEST(NamePatterns, CleanTrafficStaysClean) {
                                             "CLEAN" + std::to_string(i)));
   }
   NamePatternAnalyzer analyzer;
-  const auto findings = analyzer.analyze(reservations);
+  const auto findings = analyzer.analyze(pointers(reservations));
   // Pool collisions can produce a few repeats, but the flag rate stays tiny.
   EXPECT_LT(findings.all_flagged().size(), 20u);
   EXPECT_TRUE(findings.gibberish.empty());
@@ -489,7 +499,7 @@ std::uint64_t alert_stream_digest(const AlertSink& sink) {
 TEST(NamePatterns, MatchesTheAllPairsReferenceOnAMixedWindow) {
   const auto window = mixed_identity_window();
   const NamePatternAnalyzer analyzer;
-  const auto got = analyzer.analyze(window);
+  const auto got = analyzer.analyze(pointers(window));
   const auto want = all_pairs_reference(window, analyzer.config());
   EXPECT_EQ(got.gibberish, want.gibberish);
   EXPECT_EQ(got.repeated_identity, want.repeated_identity);
@@ -508,10 +518,8 @@ TEST(NamePatterns, PointerViewAlertStreamIsPinned) {
   // The count and digest were taken from the alert stream of the earlier
   // overload that took the window by value, on the same window.
   const auto window = mixed_identity_window();
-  std::vector<const airline::Reservation*> view;
-  for (const auto& r : window) view.push_back(&r);
   AlertSink sink;
-  NamePatternAnalyzer().analyze(view, sink);
+  NamePatternAnalyzer().analyze(pointers(window), sink);
   EXPECT_EQ(sink.count(), 461u);
   EXPECT_EQ(alert_stream_digest(sink), 0x814fb05e563a2e92ull);
 }
@@ -603,7 +611,8 @@ TEST_F(SmsAnomalyTest, AnalyzeEmitsSurgeAndRateAlerts) {
   send_daily(net::CountryCode{'U', 'Z'}, 300, 2, sim::kWeek, "AAA111");
 
   AlertSink sink;
-  detector.analyze(gateway_, 0, sim::kWeek, sim::kWeek, sim::kWeek + 2 * sim::kDay, sink);
+  const SmsAnomalyDetector::Window window{0, sim::kWeek, sim::kWeek, sim::kWeek + 2 * sim::kDay};
+  detector.analyze_windows(gateway_, {&window, 1}, sink);
   EXPECT_FALSE(sink.by_detector("sms.country-surge").empty());
   EXPECT_FALSE(sink.by_detector("sms.path-rate").empty());
   EXPECT_FALSE(sink.by_detector("sms.per-booking-rate").empty());

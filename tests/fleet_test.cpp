@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "core/bench/options.hpp"
 #include "core/fault/fault.hpp"
 #include "core/scenario/fleet.hpp"
 #include "core/scenario/replay_harness.hpp"
@@ -134,14 +135,28 @@ TEST(FleetRunner, FaultRegistryIsCleanSlatePerJob) {
 }
 
 TEST(FleetThreads, ResolutionPrefersExplicitThenEnvThenHardware) {
-  EXPECT_EQ(resolve_fleet_threads(3), 3u);
+  // The request comes from bench::Options: --threads over the environment.
+  char prog[] = "bench";
+  char flag[] = "--threads";
+  char two[] = "2";
+  char* argv[] = {prog, flag, two};
   ::setenv("FRAUDSIM_FLEET_THREADS", "7", 1);
-  EXPECT_EQ(resolve_fleet_threads(2), 2u);  // explicit wins over env
-  EXPECT_EQ(resolve_fleet_threads(0), 7u);
+  EXPECT_EQ(bench::Options::from_env().fleet_threads, 7u);
+  EXPECT_EQ(bench::Options::parse(3, argv).fleet_threads, 2u);  // argv wins over env
+  EXPECT_EQ(resolve_fleet_threads(bench::Options::from_env().fleet_threads), 7u);
   ::setenv("FRAUDSIM_FLEET_THREADS", "garbage", 1);
-  EXPECT_GE(resolve_fleet_threads(0), 1u);  // unparseable → hardware fallback
+  EXPECT_EQ(bench::Options::from_env().fleet_threads, 0u);  // unparseable → no request
   ::unsetenv("FRAUDSIM_FLEET_THREADS");
-  EXPECT_GE(resolve_fleet_threads(0), 1u);
+  EXPECT_EQ(bench::Options::from_env().fleet_threads, 0u);
+
+  // The library resolves only what it is handed: an explicit count, else
+  // hardware concurrency — never the environment.
+  EXPECT_EQ(resolve_fleet_threads(3), 3u);
+  const unsigned hardware = resolve_fleet_threads(0);
+  EXPECT_GE(hardware, 1u);
+  ::setenv("FRAUDSIM_FLEET_THREADS", "7", 1);
+  EXPECT_EQ(resolve_fleet_threads(0), hardware);
+  ::unsetenv("FRAUDSIM_FLEET_THREADS");
 }
 
 TEST(FleetThreads, ThreadCountClampsToJobCount) {

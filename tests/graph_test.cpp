@@ -12,8 +12,8 @@
 //     stats — byte-for-byte, mid-run and at rest, and rejects hostile frames
 //     (huge counts, dead ids, bad types, dangling edges) with ok() false;
 //   * the component detector flags a ring-shaped component but not diffuse
-//     legitimate traffic, and its vectorized score_batch is byte-identical
-//     to the scalar adapter;
+//     legitimate traffic, and one score_batch over N views is byte-identical
+//     to the N one-view calls concatenated;
 //   * with the graph enabled end-to-end, record -> replay -> resume stays
 //     byte-identical, and with it disabled the artifacts keep the historical
 //     shape (no component_id column).
@@ -402,6 +402,9 @@ TEST(GraphDetector, FlagsRingComponentNotDiffuseLegitTraffic) {
   EXPECT_EQ(flagged, 1u);
 }
 
+// The graph detector has one kernel, score_batch. Scoring three epoch views
+// in one call must equal scoring them one view per call, concatenated: the
+// same alert bytes and the same per-view BatchScore numbers.
 TEST(GraphDetector, BatchedScoringMatchesScalarAdapterByteForByte) {
   EntityGraph graph;
   std::vector<web::Session> sessions;
@@ -416,20 +419,23 @@ TEST(GraphDetector, BatchedScoringMatchesScalarAdapterByteForByte) {
                                         sessions, sessions, 1});
   }
 
-  GraphDetector scalar(graph);
+  GraphDetector per_view(graph);
   GraphDetector batched(graph);
-  detect::AlertSink scalar_sink;
+  detect::AlertSink per_view_sink;
   detect::AlertSink batched_sink;
-  std::vector<detect::BatchScore> scalar_scores(views.size());
+  std::vector<detect::BatchScore> per_view_scores(views.size());
   std::vector<detect::BatchScore> batched_scores(views.size());
-  scalar.Detector::score_batch(views, scalar_scores, scalar_sink);  // base adapter
+  for (std::size_t i = 0; i < views.size(); ++i) {
+    per_view.score_batch(std::span<const detect::RequestView>(&views[i], 1),
+                         std::span<detect::BatchScore>(&per_view_scores[i], 1), per_view_sink);
+  }
   batched.score_batch(views, batched_scores, batched_sink);
 
   EXPECT_GT(batched_sink.count(), 0u);
-  EXPECT_EQ(render_alerts(batched_sink.alerts()), render_alerts(scalar_sink.alerts()));
+  EXPECT_EQ(render_alerts(batched_sink.alerts()), render_alerts(per_view_sink.alerts()));
   for (std::size_t i = 0; i < views.size(); ++i) {
-    EXPECT_EQ(batched_scores[i].sessions_scored, scalar_scores[i].sessions_scored);
-    EXPECT_EQ(batched_scores[i].alerts, scalar_scores[i].alerts);
+    EXPECT_EQ(batched_scores[i].sessions_scored, per_view_scores[i].sessions_scored);
+    EXPECT_EQ(batched_scores[i].alerts, per_view_scores[i].alerts);
   }
 }
 

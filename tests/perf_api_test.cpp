@@ -1,8 +1,10 @@
 // Hot-path speed campaign: the contracts behind the batched detection API
 // and the arena/interned admit path.
 //
-//   * batched score_batch == the scalar adapter the detect.batch.run fault
-//     falls back to, byte-for-byte, across seeds and epoch configs
+//   * every detector family: one score_batch over N epoch views == the N
+//     one-view score_batch calls concatenated, byte-for-byte, across seeds;
+//     the multi-view IP-reputation and NiP kernels also equal the per-window
+//     bodies they replaced
 //   * util::Arena reset/reuse semantics and allocation accounting, and the
 //     exact arena traffic of one admitted request under the §V limits
 //   * util::InternTable id recycling and exact-id checkpoint/restore, and
@@ -19,14 +21,21 @@
 #include <cstdint>
 #include <deque>
 #include <map>
+#include <memory>
+#include <set>
+#include <span>
 #include <sstream>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
+#include "attack/ring_orchestrator.hpp"
 #include "attack/scraper.hpp"
 #include "attack/seat_spin.hpp"
 #include "attack/sms_pump.hpp"
 #include "core/detect/detector.hpp"
+#include "core/detect/graph/entity_graph.hpp"
+#include "core/detect/graph/graph_ingest.hpp"
 #include "core/detect/pipeline.hpp"
 #include "core/fault/fault.hpp"
 #include "core/mitigate/rate_limit.hpp"
@@ -64,17 +73,23 @@ std::string render_alerts(const std::vector<detect::Alert>& alerts) {
 // real alerts to diff (pure legit traffic alerts on nothing — vacuously
 // "identical"). A scraper, a seat-spinning DoI bot and an SMS pumper (the
 // latter two configured as in bench/exp_detection_comparison) start after
-// six clean hours, which serve as the NiP baseline. Env is constructed in
-// place; it is not movable.
+// six clean hours, which serve as the NiP baseline; a 16-member ring runs
+// from the first hour, feeding the entity graph through the admit-path tap.
+// Env is constructed in place; it is not movable.
 struct AlertWorld {
   static constexpr sim::SimTime kAttackStart = sim::hours(6);
 
+  // Declared before env: the application's tap must outlive it.
+  detect::graph::EntityGraph graph;
+  detect::graph::GraphIngest ingest{graph};
   scenario::Env env;
   std::unique_ptr<attack::ScraperBot> scraper;
   std::unique_ptr<attack::SeatSpinBot> doi;
   std::unique_ptr<attack::SmsPumpBot> pump;
+  std::unique_ptr<attack::RingOrchestrator> ring;
 
   AlertWorld(std::uint64_t seed, sim::SimTime horizon) : env(make_config(seed)) {
+    env.app.set_tap(&ingest);
     env.add_flights("FS", 4, 150, sim::days(5));
     const auto target = env.app.add_flight("FS", 801, 100, sim::days(9));
     attack::ScraperConfig config;
@@ -93,12 +108,16 @@ struct AlertWorld {
     pump = std::make_unique<attack::SmsPumpBot>(env.app, env.actors, env.residential,
                                                 env.population, env.tariffs, pump_config,
                                                 env.rng.fork("pump"));
+    ring = std::make_unique<attack::RingOrchestrator>(env.app, env.actors, env.residential,
+                                                      env.population, attack::RingConfig{},
+                                                      env.rng.fork("ring"));
     env.start_background(horizon);
     env.sim.schedule_at(sim::minutes(10), [this] { scraper->start(); });
     env.sim.schedule_at(kAttackStart, [this] {
       doi->start();
       pump->start();
     });
+    ring->start(horizon);
     env.run_until(horizon);
   }
 
@@ -635,47 +654,37 @@ TEST(HostileRestore, RuleEngineRejectsBadChallengeMode) {
 
 // --- Batched detector API ---------------------------------------------------
 
-// Scalar-only detector: exercises the base-class adapter.
-class CountingDetector final : public detect::Detector {
- public:
-  [[nodiscard]] const char* name() const override { return "test.counting"; }
-  [[nodiscard]] const char* fault_point() const override { return "detect.test.run"; }
-  [[nodiscard]] detect::DetectorCost cost() const override {
-    return detect::DetectorCost::Cheap;
-  }
-  void evaluate(const detect::RequestView& view, detect::AlertSink& alerts) override {
-    ++calls;
-    detect::Alert alert;
-    alert.time = view.to;
-    alert.detector = name();
-    alert.explanation = "window@" + std::to_string(view.from);
-    alerts.emit(alert);
-    if (view.sessions.size() > 1) {
-      alert.explanation += "+extra";
-      alerts.emit(alert);
-    }
-  }
-  int calls = 0;
-};
-
-TEST(BatchedDetectorApi, AdapterLoopsEvaluateInViewOrder) {
+TEST(BatchedDetectorApi, PerViewHelperScoresViewsInOrder) {
   scenario::EnvConfig config;
   config.seed = 1;
   scenario::Env env(config);
 
   const std::vector<web::Session> empty;
   const std::vector<web::Session> two(2);
+  const std::vector<web::Session> one(1);
   std::vector<detect::RequestView> views;
   views.push_back({env.app, 0, 100, empty, empty, 1});
-  views.push_back({env.app, 100, 200, two, two, 1});
+  views.push_back({env.app, 100, 200, two, one, 2});
   views.push_back({env.app, 200, 300, empty, empty, 1});
 
-  CountingDetector detector;
+  int calls = 0;
+  const auto score_view = [&calls](const detect::RequestView& view, detect::AlertSink& alerts) {
+    ++calls;
+    detect::Alert alert;
+    alert.time = view.to;
+    alert.detector = "test.counting";
+    alert.explanation = "window@" + std::to_string(view.from);
+    alerts.emit(alert);
+    if (view.sessions.size() > 1) {
+      alert.explanation += "+extra";
+      alerts.emit(alert);
+    }
+  };
   detect::AlertSink sink;
   std::vector<detect::BatchScore> scores(views.size());
-  detector.score_batch(views, scores, sink);
+  detect::score_each_view(detect::DetectorCost::Cheap, views, scores, sink, score_view);
 
-  EXPECT_EQ(detector.calls, 3);
+  EXPECT_EQ(calls, 3);
   ASSERT_EQ(sink.count(), 4u);  // one per view + the extra for the 2-session view
   EXPECT_EQ(sink.alerts()[0].explanation, "window@0");
   EXPECT_EQ(sink.alerts()[1].explanation, "window@100");
@@ -686,72 +695,255 @@ TEST(BatchedDetectorApi, AdapterLoopsEvaluateInViewOrder) {
   EXPECT_EQ(scores[0].alerts, 1u);
   EXPECT_EQ(scores[1].alerts, 2u);
   EXPECT_EQ(scores[2].alerts, 1u);
+
+  // An expensive family is charged for the brownout-sampled sessions.
+  detect::AlertSink expensive_sink;
+  detect::score_each_view(detect::DetectorCost::Expensive, views, scores, expensive_sink,
+                          score_view);
+  EXPECT_EQ(scores[1].sessions_scored, 1u);
+  EXPECT_EQ(scores[1].alerts, 2u);
 }
+
+// The per-window IP-reputation body the multi-view kernel replaced: a geo
+// lookup per session instead of one per distinct address of the batch.
+void reference_ip_reputation(const net::GeoDb& geo, const detect::IpReputationConfig& config,
+                             const std::vector<web::Session>& sessions,
+                             detect::AlertSink& sink) {
+  std::unordered_map<std::uint32_t, std::uint64_t> sessions_per_ip;
+  for (const auto& session : sessions) {
+    if (session.requests.empty()) continue;
+    ++sessions_per_ip[session.requests.front().ip.value()];
+  }
+  for (const auto& session : sessions) {
+    if (session.requests.empty()) continue;
+    const auto ip = session.requests.front().ip;
+    const char* reason = nullptr;
+    if (config.flag_datacenter && geo.is_datacenter(ip)) {
+      reason = "datacenter exit address";
+    } else if (sessions_per_ip[ip.value()] > config.max_sessions_per_ip) {
+      reason = "address shared across many sessions";
+    }
+    if (reason == nullptr) continue;
+    detect::Alert alert;
+    alert.time = session.end();
+    alert.detector = "ip.reputation";
+    alert.severity = detect::Severity::Warning;
+    alert.explanation = reason;
+    alert.ip = ip;
+    alert.session = session.id;
+    alert.actor = session.actor;
+    alert.fingerprint = session.requests.front().fp_hash;
+    sink.emit(std::move(alert));
+  }
+}
+
+// The per-window NiP body the one-pass binning kernel replaced: bin the
+// window, judge it, then rescan the whole log for each anomalous value.
+void reference_nip_anomaly(const detect::NipAnomalyDetector& detector,
+                           const std::vector<airline::Reservation>& reservations,
+                           sim::SimTime from, sim::SimTime to, detect::AlertSink& sink) {
+  const auto verdict = detector.evaluate_window(reservations, from, to);
+  if (!verdict.anomalous) return;
+  for (const int nip : verdict.anomalous_nips) {
+    detect::Alert alert;
+    alert.time = to;
+    alert.detector = "nip.anomaly";
+    alert.severity = detect::Severity::Critical;
+    alert.explanation = "NiP=" + std::to_string(nip) + " volume far above baseline (chi2=" +
+                        std::to_string(verdict.test.chi_square) + ")";
+    sink.emit(alert);
+    for (const auto& r : reservations) {
+      if (r.created < from || r.created >= to) continue;
+      if (r.nip() != nip) continue;
+      detect::Alert res_alert = alert;
+      res_alert.severity = detect::Severity::Warning;
+      res_alert.explanation = "reservation at anomalous NiP=" + std::to_string(nip);
+      res_alert.pnr = r.pnr;
+      res_alert.fingerprint = r.source_fp;
+      res_alert.ip = r.source_ip;
+      res_alert.actor = r.actor;
+      sink.emit(std::move(res_alert));
+    }
+  }
+}
+
+// Epoch views over one window, partitioned as DetectionPipeline::run does
+// (equal slices, each session in the slice its start falls in), with every
+// stride-th session of a slice as its sampled view. Filled in place: the
+// views reference the session vectors.
+struct EpochViews {
+  std::vector<web::Session> all;
+  std::vector<std::vector<web::Session>> sessions;
+  std::vector<std::vector<web::Session>> sampled;
+  std::vector<detect::RequestView> views;
+
+  EpochViews(const app::Application& application, sim::SimTime from, sim::SimTime to,
+             std::size_t slices, int stride) {
+    const web::Sessionizer sessionizer(detect::PipelineConfig{}.session_timeout);
+    all = sessionizer.sessionize(application.weblog().range(from, to));
+    const sim::SimDuration slice = (to - from) / static_cast<sim::SimDuration>(slices);
+    sessions.resize(slices);
+    sampled.resize(slices);
+    for (const auto& s : all) {
+      auto idx = static_cast<std::size_t>((s.start() - from) / slice);
+      sessions[std::min(idx, slices - 1)].push_back(s);
+    }
+    for (std::size_t e = 0; e < slices; ++e) {
+      for (std::size_t i = 0; i < sessions[e].size(); i += static_cast<std::size_t>(stride)) {
+        sampled[e].push_back(sessions[e][i]);
+      }
+      const sim::SimTime e_from = from + static_cast<sim::SimDuration>(e) * slice;
+      views.push_back(detect::RequestView{application, e_from, e_from + slice, sessions[e],
+                                          sampled[e], stride});
+    }
+  }
+};
 
 class PipelineIdentityTest : public ::testing::Test {
  protected:
   void SetUp() override { fault::FaultRegistry::global().reset(); }
   void TearDown() override { fault::FaultRegistry::global().reset(); }
 
-  // Runs the pipeline over the world's full window and returns the rendered
-  // alert bytes. The scalar reference run arms "detect.batch.run", which
-  // demotes every family to the base-class adapter, and checks that the
-  // fallback was taken.
-  static std::string run_alerts(AlertWorld& world, sim::SimTime horizon, bool batched,
-                                detect::PipelineConfig config = {}) {
-    scenario::Env& env = world.env;
-    if (!batched) {
-      fault::FaultRegistry::global().arm("detect.batch.run",
-                                         fault::FaultScenario::every_nth(1));
-    }
-    detect::DetectionPipeline pipeline(config);
-    pipeline.bind_obs(&env.app.obs());
-    pipeline.fit_nip_baseline(env.app, 0, AlertWorld::kAttackStart);
-    pipeline.enable_ip_reputation(env.geo);
-    const std::uint64_t fallbacks_before = pipeline.view().stats().batch_fallbacks;
-    const auto result = pipeline.run(env.app, env.actors, 0, horizon);
-    const std::uint64_t fallbacks = pipeline.view().stats().batch_fallbacks - fallbacks_before;
-    fault::FaultRegistry::global().reset();
-    if (batched) {
-      EXPECT_EQ(fallbacks, 0u);
-    } else {
-      EXPECT_GE(fallbacks, 1u);
-    }
-    return render_alerts(result.alerts.alerts());
+  static constexpr sim::SimTime kHorizon = sim::hours(8);
+  static constexpr std::size_t kEpochs = 4;  // 2 h slices of [0, 8h)
+
+  // 2 h x 4 slicing. The IP shared-address bar and the rarity thresholds
+  // are lowered so both IP-reputation branches and the rarity family decide
+  // verdicts on this small world.
+  static detect::PipelineConfig sliced_config() {
+    detect::PipelineConfig config;
+    config.batch_epoch = sim::hours(2);
+    config.max_batch_epochs = kEpochs;
+    config.ip_reputation.max_sessions_per_ip = 1;
+    config.rarity_frequency = 0.05;
+    config.rarity_min_observations = 10;
+    return config;
   }
 
-  // Batched and scalar runs emit identical, non-vacuous alert bytes, with
-  // the feature-level families (which only the DoI bot and the SMS pumper
-  // trip) among them.
-  static void expect_identical(std::uint64_t seed, sim::SimTime horizon,
-                               const detect::PipelineConfig& config = {}) {
-    AlertWorld world(seed, horizon);
-    const std::string batched = run_alerts(world, horizon, true, config);
-    const std::string scalar = run_alerts(world, horizon, false, config);
-    for (const char* family : {"|nip.", "|name.", "|sms."}) {
-      EXPECT_NE(batched.find(family), std::string::npos)
-          << "seed " << seed << ": no " << family << " alert — vacuous comparison";
+  // Every family on: the NiP baseline and navigation model fitted on the
+  // clean hours, the classifier trained on them (oracle labels), IP
+  // reputation and the ring graph enabled, biometrics on by default.
+  static std::unique_ptr<detect::DetectionPipeline> full_pipeline(AlertWorld& world,
+                                                                  std::uint64_t seed) {
+    scenario::Env& env = world.env;
+    auto pipeline = std::make_unique<detect::DetectionPipeline>(sliced_config());
+    pipeline->fit_nip_baseline(env.app, 0, AlertWorld::kAttackStart);
+    pipeline->fit_navigation(env.app, 0, AlertWorld::kAttackStart);
+    sim::Rng rng(seed);
+    pipeline->train_behavior(env.app, env.actors, 0, AlertWorld::kAttackStart, rng);
+    pipeline->enable_ip_reputation(env.geo);
+    pipeline->enable_graph(world.graph);
+    return pipeline;
+  }
+
+  // For every family: one score_batch over the epoch views emits exactly
+  // the alert bytes and BatchScores of one one-view call per view,
+  // concatenated (each path on its own detector instance). The IP and NiP
+  // kernels must also equal their per-window reference bodies. Returns the
+  // batched alert stream of each family, in build_detectors() order, and
+  // records which families alerted in `alerted`.
+  static std::vector<std::string> expect_batch_equals_views(
+      std::uint64_t seed, AlertWorld& world, const detect::DetectionPipeline& pipeline,
+      const EpochViews& epochs, std::set<std::string>& alerted) {
+    const auto batched_detectors = pipeline.build_detectors();
+    const auto per_view_detectors = pipeline.build_detectors();
+    EXPECT_EQ(batched_detectors.size(), 12u) << "seed " << seed << ": a family is off";
+    const std::span<const detect::RequestView> views = epochs.views;
+    std::vector<std::string> streams;
+    for (std::size_t d = 0; d < batched_detectors.size(); ++d) {
+      const std::string family = batched_detectors[d]->name();
+      const std::string where = "seed " + std::to_string(seed) + ", stride " +
+                                std::to_string(views.front().stride) + ", " + family;
+
+      detect::AlertSink batched;
+      std::vector<detect::BatchScore> batched_scores(views.size());
+      batched_detectors[d]->score_batch(views, batched_scores, batched);
+
+      detect::AlertSink per_view;
+      std::vector<detect::BatchScore> per_view_scores(views.size());
+      for (std::size_t i = 0; i < views.size(); ++i) {
+        per_view_detectors[d]->score_batch(views.subspan(i, 1),
+                                           std::span(per_view_scores).subspan(i, 1), per_view);
+      }
+      const std::string stream = render_alerts(batched.alerts());
+      EXPECT_EQ(stream, render_alerts(per_view.alerts())) << where;
+      std::uint64_t scored_alerts = 0;
+      for (std::size_t i = 0; i < views.size(); ++i) {
+        EXPECT_EQ(batched_scores[i].sessions_scored, per_view_scores[i].sessions_scored)
+            << where << ", view " << i;
+        EXPECT_EQ(batched_scores[i].alerts, per_view_scores[i].alerts) << where << ", view " << i;
+        scored_alerts += batched_scores[i].alerts;
+      }
+      EXPECT_EQ(scored_alerts, batched.count()) << where;
+      if (batched.count() > 0) alerted.insert(family);
+
+      const auto& reservations = world.env.app.inventory().reservations();
+      if (family == "ip.reputation") {
+        detect::AlertSink reference;
+        for (const auto& view : views) {
+          reference_ip_reputation(world.env.geo, pipeline.config().ip_reputation,
+                                  view.sessions, reference);
+        }
+        EXPECT_EQ(stream, render_alerts(reference.alerts())) << where << " vs reference";
+      }
+      if (family == "nip.anomaly") {
+        detect::NipAnomalyDetector nip(pipeline.config().nip);
+        nip.fit_baseline(reservations, 0, AlertWorld::kAttackStart);
+        detect::AlertSink reference;
+        for (const auto& view : views) {
+          reference_nip_anomaly(nip, reservations, view.from, view.to, reference);
+        }
+        EXPECT_EQ(stream, render_alerts(reference.alerts())) << where << " vs reference";
+      }
+      streams.push_back(stream);
     }
-    EXPECT_EQ(batched, scalar) << "seed " << seed;
+    return streams;
+  }
+
+  // Every family but fingerprint.consistency (no stored fingerprint of this
+  // world is inconsistent; it shares its replay path with the artifact
+  // family) must have alerted somewhere, or its comparison was vacuous.
+  static void expect_non_vacuous(const std::set<std::string>& alerted) {
+    for (const char* family :
+         {"behavior.volume", "behavior.classifier", "behavior.navigation", "ip.reputation",
+          "biometric.pointer", "fingerprint.artifact", "fingerprint.rarity", "nip.anomaly",
+          "name.patterns", "sms.anomaly", "graph.ring"}) {
+      EXPECT_TRUE(alerted.contains(family)) << "no " << family << " alert — vacuous comparison";
+    }
   }
 };
 
 TEST_F(PipelineIdentityTest, BatchedMatchesScalarAcrossSeeds) {
-  for (const std::uint64_t seed : {3ull, 9ull}) expect_identical(seed, sim::hours(8));
+  std::set<std::string> alerted;
+  for (const std::uint64_t seed : {3ull, 9ull}) {
+    AlertWorld world(seed, kHorizon);
+    const auto pipeline = full_pipeline(world, seed);
+    for (const int stride : {1, 2}) {
+      const EpochViews epochs(world.env.app, 0, kHorizon, kEpochs, stride);
+      (void)expect_batch_equals_views(seed, world, *pipeline, epochs, alerted);
+    }
+  }
+  expect_non_vacuous(alerted);
 }
 
-// The scalar reference of every comparison is the batch-fault fallback: with
-// "detect.batch.run" armed, each family demotes to the base-class adapter and
-// must still emit the batched run's exact alert bytes.
-TEST_F(PipelineIdentityTest, BatchFaultFallsBackToScalarIdentically) {
-  expect_identical(7, sim::hours(8));
-}
-
+// DetectionPipeline::run with 2 h x 4 slicing scores the same epoch views:
+// its alert stream is every family's batched stream, in family order.
 TEST_F(PipelineIdentityTest, BatchedMatchesScalarWithEpochSlicing) {
-  detect::PipelineConfig sliced;
-  sliced.batch_epoch = sim::hours(2);
-  sliced.max_batch_epochs = 4;
-  expect_identical(5, sim::hours(8), sliced);
+  std::set<std::string> alerted;
+  for (const std::uint64_t seed : {5ull, 7ull}) {
+    AlertWorld world(seed, kHorizon);
+    const auto pipeline = full_pipeline(world, seed);
+    const EpochViews epochs(world.env.app, 0, kHorizon, kEpochs, 1);
+    std::string expected;
+    for (const auto& stream :
+         expect_batch_equals_views(seed, world, *pipeline, epochs, alerted)) {
+      expected += stream;
+    }
+    const auto result = pipeline->run(world.env.app, world.env.actors, 0, kHorizon);
+    EXPECT_FALSE(result.degraded) << "seed " << seed;
+    EXPECT_EQ(render_alerts(result.alerts.alerts()), expected) << "seed " << seed;
+  }
+  expect_non_vacuous(alerted);
 }
 
 TEST_F(PipelineIdentityTest, PipelineViewHoldsBatchConservation) {
