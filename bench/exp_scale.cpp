@@ -12,9 +12,10 @@
 //   * cross-shard traffic actually exercised (messages > 0, all conserved);
 //   * zero invariant violations (shard-conservation, shard-clock-alignment).
 //
-// Volume mode (`exp_scale --volume [--smoke]`): the engine at mega-scale —
-// one million users and >= 100 million events in one K=8 run on 8 threads
-// (--smoke: 50k users over 6 h, sized for sanitizer CI). The run fails on
+// Volume mode (`exp_scale --volume [--smoke] [--threads N]`): the engine at
+// mega-scale — one million users and >= 100 million events in one K=8 run on
+// 8 worker threads unless --threads says otherwise (--smoke: 50k users over
+// 6 h, sized for sanitizer CI). The thread count never changes the results. The run fails on
 // any invariant violation or, at full size, on missing the 100M-event floor.
 // It prints events per wall second for information only; throughput is
 // measured and compared by perfbench (`python3 perfbench/run.py --workload
@@ -113,7 +114,7 @@ int run_shape(bool smoke) {
 // ---------------------------------------------------------------------------
 // Volume mode.
 
-int run_volume(bool smoke) {
+int run_volume(bool smoke, unsigned threads) {
   scenario::ScaleConfig cfg;
   cfg.seed = 2026;
   if (smoke) {
@@ -134,7 +135,7 @@ int run_volume(bool smoke) {
   cfg.epoch = sim::hours(1);
   cfg.hold_ttl = sim::hours(2);
   cfg.shards = 8;
-  cfg.threads = 8;
+  cfg.threads = threads != 0 ? threads : 8;
 
   std::cout << "SCALE volume: " << cfg.users << " users, " << cfg.flights << " flights, "
             << (cfg.horizon / sim::hours(1)) << " h, K=" << cfg.shards << " threads="
@@ -171,7 +172,7 @@ int run_volume(bool smoke) {
 int main(int argc, char** argv) {
   const auto options = bench::Options::parse(argc, argv);
   for (const auto& arg : options.positional) {
-    if (arg == "--volume") return run_volume(options.smoke);
+    if (arg == "--volume") return run_volume(options.smoke, options.fleet_threads);
   }
   return run_shape(options.smoke);
 }

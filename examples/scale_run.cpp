@@ -1,11 +1,14 @@
 // Mega-scale quick-start: the seat-hold economy on the sharded engine.
 //
-// Runs the scale scenario (core/scenario/scale) on 4 shards with per-shard
-// checkpoints, prints the run report, then demonstrates shard-local recovery
-// by resuming from the checkpoints and comparing state digests — the resumed
+// Runs the scale scenario (core/scenario/scale) on 4 shards, checkpointing
+// into DIR/run.journal, prints the run report, then resumes from the
+// journal's newest Checkpoint frame and compares state digests — the resumed
 // run must land on exactly the same bytes.
 //
-//   ./examples/scale_run [--seed N] [--out-dir DIR]
+//   ./examples/scale_run [--seed N] [--out-dir DIR] [--threads N]
+//
+// --threads sets the epoch-drain worker count (default 4); it never changes
+// a byte of output.
 #include <cstdint>
 #include <filesystem>
 #include <iostream>
@@ -29,7 +32,7 @@ int main(int argc, char** argv) {
   cfg.hold_ttl = sim::hours(2);
   cfg.graph_sample = 8;
   cfg.shards = 4;
-  cfg.threads = 4;
+  cfg.threads = options.fleet_threads != 0 ? options.fleet_threads : 4;
   cfg.checkpoint_every = 3;
   cfg.out_dir = options.out_dir.empty() ? "scale-run-out" : options.out_dir;
   std::filesystem::create_directories(cfg.out_dir);
@@ -40,7 +43,7 @@ int main(int argc, char** argv) {
   const auto art = scenario::run_scale_sharded(cfg);
   std::cout << art.report << "\n";
 
-  std::cout << "Resuming from the newest common per-shard checkpoint ...\n";
+  std::cout << "Resuming from the newest checkpoint frame in run.journal ...\n";
   const auto resumed = scenario::resume_scale_sharded(cfg);
   const bool match = resumed.state_digest == art.state_digest &&
                      resumed.report == art.report && resumed.shards_csv == art.shards_csv;

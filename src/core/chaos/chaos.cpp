@@ -37,7 +37,7 @@ void ChaosEntry::checkpoint(util::ByteWriter& out) const {
 }
 
 void ChaosEntry::restore(util::ByteReader& in) {
-  kind = static_cast<Kind>(in.u8());
+  if (!in.read_enum(Kind::FlashCrowd, kind)) return;
   point = in.str();
   scenario.restore(in);
   from = in.i64();
@@ -71,7 +71,10 @@ void ChaosSchedule::checkpoint(util::ByteWriter& out) const {
 
 void ChaosSchedule::restore(util::ByteReader& in) {
   seed = in.u64();
-  const std::uint64_t n = in.u64();
+  // Smallest entry on the wire: kind, an empty point name, the fault
+  // scenario (two enum bytes, eight 8-byte fields) and from/to/intensity.
+  constexpr std::size_t kEntryBytes = 1 + 4 + (2 + 8 * 8) + 3 * 8;
+  const std::uint64_t n = in.count(kEntryBytes);
   entries.clear();
   entries.reserve(n);
   for (std::uint64_t i = 0; i < n && in.ok(); ++i) {

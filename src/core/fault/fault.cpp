@@ -107,8 +107,9 @@ void FaultScenario::checkpoint(util::ByteWriter& out) const {
 }
 
 void FaultScenario::restore(util::ByteReader& in) {
-  kind = static_cast<ScenarioKind>(in.u8());
-  fault = static_cast<FaultKind>(in.u8());
+  if (!in.read_enum(ScenarioKind::Burst, kind) || !in.read_enum(FaultKind::kLatency, fault)) {
+    return;
+  }
   probability = in.f64();
   seed = in.u64();
   nth = in.u64();

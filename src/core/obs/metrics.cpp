@@ -239,10 +239,9 @@ void MetricsSnapshot::checkpoint(util::ByteWriter& out) const {
 
 void MetricsSnapshot::restore(util::ByteReader& in) {
   rows.clear();
-  const std::uint64_t n = in.u64();
-  // Counts come from CRC-checked shards, but cap the pre-reserve anyway so a
-  // corrupt length degrades into reader !ok(), not a bad_alloc.
-  rows.reserve(static_cast<std::size_t>(std::min<std::uint64_t>(n, 1 << 16)));
+  // Smallest row on the wire: empty name, kind, count, six doubles, no buckets.
+  const std::uint64_t n = in.count(4 + 1 + 8 + 6 * 8 + 8);
+  rows.reserve(n);
   for (std::uint64_t i = 0; i < n && in.ok(); ++i) {
     Row row;
     row.name = in.str();
@@ -254,8 +253,8 @@ void MetricsSnapshot::restore(util::ByteReader& in) {
     row.p99 = in.f64();
     row.min = in.f64();
     row.max = in.f64();
-    const std::uint64_t buckets = in.u64();
-    row.buckets.reserve(static_cast<std::size_t>(std::min<std::uint64_t>(buckets, 1 << 12)));
+    const std::uint64_t buckets = in.count(2 * 8);
+    row.buckets.reserve(buckets);
     for (std::uint64_t b = 0; b < buckets && in.ok(); ++b) {
       const double bound = in.f64();
       const std::uint64_t count = in.u64();
@@ -384,19 +383,35 @@ void MetricsRegistry::checkpoint(util::ByteWriter& out) const {
 }
 
 void MetricsRegistry::restore(util::ByteReader& in) {
-  const auto n = in.u64();
+  // Smallest cell on the wire: empty name, kind, counter, gauge, two empty
+  // lists and the four histogram scalars.
+  const auto n = in.count(4 + 1 + 2 * 8 + 2 * 8 + 4 * 8);
   for (std::uint64_t i = 0; i < n && in.ok(); ++i) {
     const std::string name = in.str();
-    const auto kind = static_cast<MetricKind>(in.u8());
+    auto kind = MetricKind::Counter;
+    if (!in.read_enum(MetricKind::Histogram, kind)) return;
+    const std::uint64_t counter = in.u64();
+    const double gauge = in.f64();
+    std::vector<double> bounds(in.count(8));
+    for (double& b : bounds) b = in.f64();
+    std::vector<std::uint64_t> buckets(in.count(8));
+    for (std::uint64_t& b : buckets) b = in.u64();
+    // Handles already issued for a name read its cell as the registered kind,
+    // and Histogram::observe indexes one bucket past the bounds, so a cell
+    // keeps its kind and only a histogram carries a layout — a complete one.
+    const auto it = cells_.find(name);
+    const bool layout_ok = kind == MetricKind::Histogram
+                               ? buckets.size() == bounds.size() + 1
+                               : bounds.empty() && buckets.empty();
+    if (!in.ok() || !layout_ok || (it != cells_.end() && it->second->kind != kind)) {
+      in.fail();
+      return;
+    }
     detail::MetricCell& c = cell(name, kind);
-    c.counter = in.u64();
-    c.gauge = in.f64();
-    const auto bounds = in.u64();
-    c.hist.bounds.assign(bounds, 0.0);
-    for (std::uint64_t b = 0; b < bounds && in.ok(); ++b) c.hist.bounds[b] = in.f64();
-    const auto buckets = in.u64();
-    c.hist.buckets.assign(buckets, 0);
-    for (std::uint64_t b = 0; b < buckets && in.ok(); ++b) c.hist.buckets[b] = in.u64();
+    c.counter = counter;
+    c.gauge = gauge;
+    c.hist.bounds = std::move(bounds);
+    c.hist.buckets = std::move(buckets);
     c.hist.count = in.u64();
     c.hist.sum = in.f64();
     c.hist.min = in.f64();

@@ -4,19 +4,17 @@
 #include <array>
 #include <cassert>
 #include <filesystem>
-#include <fstream>
-#include <iterator>
 #include <map>
 #include <memory>
-#include <set>
+#include <optional>
 #include <vector>
 
 #include "core/detect/graph/entity_graph.hpp"
 #include "core/detect/graph/graph_detector.hpp"
 #include "core/fault/fault.hpp"
 #include "core/invariant/invariant.hpp"
-#include "core/recover/atomic_file.hpp"
-#include "core/recover/manifest.hpp"
+#include "core/journal/journal.hpp"
+#include "core/recover/recovery.hpp"
 #include "sim/rng.hpp"
 #include "sim/sharded_simulation.hpp"
 #include "sim/simulation.hpp"
@@ -35,21 +33,24 @@ constexpr std::uint32_t kMsgHoldGranted = 2;  // a=user, b=hold idx, c=intent_pa
 constexpr std::uint32_t kMsgHoldDenied = 3;   // a=user
 constexpr std::uint32_t kMsgPayRequest = 4;   // a=hold idx, b=hold generation
 
-constexpr std::uint64_t kCheckpointMagic = 0x3176'4353'5346ULL;  // "FSSCv1"
-
 // Closure payload packing: every event closure captures exactly (World*,
 // u64) — 16 trivially-copyable bytes, inside std::function's small-buffer
 // optimisation, so the hot path never allocates per event.
 //   pay decision: [user shard:12][flight shard:12][hold idx:20][generation:20]
 //   expiry:       [shard:12][hold idx:20] (no generation — pay cancels the
 //                 expiry event, so a firing expiry always matches its hold)
+// A config must fit the shard and hold-index fields before anything runs;
+// the generation is a deliberately wrapping 20-bit counter.
+constexpr std::uint32_t kMaxShards = 1U << 12;
+constexpr std::uint64_t kMaxHoldsPerShard = 1ULL << 20;
+
 constexpr std::uint64_t pack_pay(std::uint32_t us, std::uint32_t fs, std::uint64_t hidx,
                                  std::uint32_t gen) {
   return (static_cast<std::uint64_t>(us) << 52) | (static_cast<std::uint64_t>(fs) << 40) |
-         ((hidx & 0xFFFFF) << 20) | (gen & 0xFFFFF);
+         (hidx << 20) | (gen & 0xFFFFF);
 }
 constexpr std::uint64_t pack_expiry(std::uint32_t shard, std::uint64_t hidx) {
-  return (static_cast<std::uint64_t>(shard) << 20) | (hidx & 0xFFFFF);
+  return (static_cast<std::uint64_t>(shard) << 20) | hidx;
 }
 
 struct UserState {
@@ -230,7 +231,7 @@ std::uint64_t alloc_hold(ShardState& ss) {
     idx = ss.holds.size();
     ss.holds.emplace_back();
   }
-  assert(idx < (1ULL << 20) && "hold index must fit the closure packing");
+  assert(idx < kMaxHoldsPerShard && "init_static admits no config that gets here");
   ++ss.holds[idx].gen;
   return idx;
 }
@@ -394,7 +395,10 @@ void on_message(World* w, std::uint32_t dst, const sim::ShardMessage& msg) {
 // Static state: capacities and fares. Fares are the per-shard forked-Rng
 // probe — each owner shard draws from its own fork, in global flight order,
 // so the assignment is a pure function of (seed, K) and identical on resume.
-void init_static(World& w) {
+// Returns why the config breaks the hold-index packing limit, if it does:
+// every hold slot a shard allocates is backed by a seat it owns (a flight's
+// held + paid never exceeds its capacity).
+[[nodiscard]] std::optional<std::string> init_static(World& w) {
   w.users.assign(w.cfg->users, UserState{});
   w.flights.assign(w.cfg->flights, FlightState{});
   std::vector<sim::Rng> forks;
@@ -403,12 +407,22 @@ void init_static(World& w) {
   for (std::size_t k = 0; k < w.shards.size(); ++k) {
     forks.push_back(root.fork("shard/" + std::to_string(k)));
   }
+  std::vector<std::uint64_t> seats(w.shards.size(), 0);
   for (std::uint64_t f = 0; f < w.cfg->flights; ++f) {
+    const std::uint32_t fs = w.transport->flight_shard(f);
     FlightState& fl = w.flights[f];
     fl.capacity = w.cfg->seats_per_flight;
-    fl.fare = static_cast<std::uint32_t>(
-        forks[w.transport->flight_shard(f)].uniform_int(50, 500));
+    fl.fare = static_cast<std::uint32_t>(forks[fs].uniform_int(50, 500));
+    seats[fs] += fl.capacity;
   }
+  for (std::size_t k = 0; k < seats.size(); ++k) {
+    if (seats[k] > kMaxHoldsPerShard) {
+      return "shard " + std::to_string(k) + " owns " + std::to_string(seats[k]) +
+             " seats, over the " + std::to_string(kMaxHoldsPerShard) +
+             "-hold packing limit per shard";
+    }
+  }
+  return std::nullopt;
 }
 
 // Fresh-run only: first activity per user, in global id order.
@@ -448,56 +462,16 @@ void apply_graph_ops(World& w) {
   }
 }
 
-// Merges the per-shard graphs into one population-scale graph via the
-// canonical partition. Rebuilt fresh at each barrier — the partition is a
-// pure function of the merged edge set, so shard merge order cannot change
-// the components. (EntityGraph is not assignable — it pins a fault-point
-// reference — hence the emplace-into-optional shape.)
-void rebuild_merged(std::optional<detect::graph::EntityGraph>& merged, const World& w,
-                    sim::SimTime at) {
-  merged.emplace(scale_graph_config(*w.cfg));
-  for (const auto& shard : w.shards) merged->merge_from(shard->graph, at);
-}
-
 // --- Checkpoint --------------------------------------------------------------
+//
+// A restore point is one journal Checkpoint frame: the engine blob, then each
+// shard's slice in shard order. Pending events travel as descriptors and are
+// re-registered under their ORIGINAL ids, so the resumed queues drain in
+// exactly the order the uninterrupted run would have used.
 
-[[nodiscard]] std::string shard_dir(const ScaleConfig& cfg, std::uint32_t k) {
-  std::string n = std::to_string(k);
-  while (n.size() < 3) n.insert(n.begin(), '0');
-  return cfg.out_dir + "/shards/shard-" + n;
-}
-
-[[nodiscard]] std::string checkpoint_name(std::uint64_t barrier_index) {
-  return "checkpoint-" + std::to_string(barrier_index) + ".fsc";
-}
-
-[[nodiscard]] bool parse_checkpoint_name(const std::string& rel, std::uint64_t& idx) {
-  constexpr std::string_view prefix = "checkpoint-";
-  constexpr std::string_view suffix = ".fsc";
-  if (rel.size() <= prefix.size() + suffix.size()) return false;
-  if (rel.compare(0, prefix.size(), prefix) != 0) return false;
-  if (rel.compare(rel.size() - suffix.size(), suffix.size(), suffix) != 0) return false;
-  idx = 0;
-  for (std::size_t i = prefix.size(); i < rel.size() - suffix.size(); ++i) {
-    if (rel[i] < '0' || rel[i] > '9') return false;
-    idx = idx * 10 + static_cast<std::uint64_t>(rel[i] - '0');
-  }
-  return true;
-}
-
-// Serialises one shard's slice of the world: its counters, hold table, the
-// state of every user/flight it owns (global id order), its entity graph,
-// and the event-queue descriptors needed to re-register pending events under
-// their original ids. Shard 0 additionally carries the engine bookkeeping.
-[[nodiscard]] std::string checkpoint_shard(const World& w, sim::ShardedSimulation& engine,
-                                           std::uint32_t k, std::uint64_t barrier_index) {
-  util::ByteWriter out;
-  out.u64(kCheckpointMagic);
-  out.u64(w.cfg->digest());
-  out.u64(barrier_index);
-  out.i64(engine.now());
-  if (k == 0) engine.checkpoint(out);
-
+void checkpoint_shard(const World& w, const sim::ShardedSimulation& engine, std::uint32_t k,
+                      const std::vector<std::uint64_t>& users,
+                      const std::vector<std::uint64_t>& flights, util::ByteWriter& out) {
   const ShardState& ss = *w.shards[k];
   out.u64(ss.counters.activities);
   out.u64(ss.counters.holds);
@@ -529,13 +503,8 @@ void rebuild_merged(std::optional<detect::graph::EntityGraph>& merged, const Wor
     out.i64(ev.second);
   }
 
-  std::uint64_t owned_users = 0;
-  for (std::uint64_t u = 0; u < w.cfg->users; ++u) {
-    if (w.transport->user_shard(u) == k) ++owned_users;
-  }
-  out.u64(owned_users);
-  for (std::uint64_t u = 0; u < w.cfg->users; ++u) {
-    if (w.transport->user_shard(u) != k) continue;
+  out.u64(users.size());
+  for (const std::uint64_t u : users) {
     const UserState& s = w.users[u];
     out.u64(u);
     out.u64(s.draws);
@@ -545,13 +514,8 @@ void rebuild_merged(std::optional<detect::graph::EntityGraph>& merged, const Wor
     out.u32(s.denials);
     out.u32(s.pays);
   }
-  std::uint64_t owned_flights = 0;
-  for (std::uint64_t f = 0; f < w.cfg->flights; ++f) {
-    if (w.transport->flight_shard(f) == k) ++owned_flights;
-  }
-  out.u64(owned_flights);
-  for (std::uint64_t f = 0; f < w.cfg->flights; ++f) {
-    if (w.transport->flight_shard(f) != k) continue;
+  out.u64(flights.size());
+  for (const std::uint64_t f : flights) {
     out.u64(f);
     out.u32(w.flights[f].held);
     out.u32(w.flights[f].paid);
@@ -559,23 +523,40 @@ void rebuild_merged(std::optional<detect::graph::EntityGraph>& merged, const Wor
 
   ss.graph.checkpoint(out);
   out.u64(engine.shard(k).queue().next_id());
-  return out.bytes();
 }
 
-// Restores one shard from its blob, re-registering pending events (activity
-// timers, hold expiries, pay decisions) under their ORIGINAL event ids so the
-// resumed queue drains in the exact order the uninterrupted run would have
-// used.
-[[nodiscard]] bool restore_shard(World& w, sim::ShardedSimulation& engine, std::uint32_t k,
-                                 const std::string& blob, std::uint64_t expect_index) {
-  util::ByteReader in(blob);
-  if (in.u64() != kCheckpointMagic) return false;
-  if (in.u64() != w.cfg->digest()) return false;
-  if (in.u64() != expect_index) return false;
-  (void)in.i64();  // barrier time — carried by the engine blob
-  if (k == 0) engine.restore(in);
+[[nodiscard]] util::ByteWriter checkpoint_world(const World& w,
+                                                const sim::ShardedSimulation& engine) {
+  std::vector<std::vector<std::uint64_t>> users(engine.shards());
+  std::vector<std::vector<std::uint64_t>> flights(engine.shards());
+  for (std::uint64_t u = 0; u < w.cfg->users; ++u) users[w.transport->user_shard(u)].push_back(u);
+  for (std::uint64_t f = 0; f < w.cfg->flights; ++f) {
+    flights[w.transport->flight_shard(f)].push_back(f);
+  }
+  util::ByteWriter out;
+  engine.checkpoint(out);
+  for (std::uint32_t k = 0; k < engine.shards(); ++k) {
+    checkpoint_shard(w, engine, k, users[k], flights[k], out);
+  }
+  return out;
+}
 
+// Decodes shard k's slice and re-registers its pending events. A CRC proves
+// only that these are the bytes written, so every count is bounded by the
+// bytes left and every id and index is checked; a defect fails `in`. `seen`
+// counts the users and flights restored.
+void restore_shard(World& w, sim::ShardedSimulation& engine, std::uint32_t k,
+                   util::ByteReader& in, std::uint64_t& seen) {
+  World* wp = &w;
   ShardState& ss = *w.shards[k];
+  sim::EventQueue& queue = engine.shard(k).queue();
+  sim::EventId max_id = 0;
+  // Nothing pending is due before the barrier it was saved at, and no id is
+  // pending twice.
+  const auto restore_event = [&](sim::SimTime at, sim::EventId id, sim::EventFn fn) {
+    if (at < engine.now() || !queue.restore_entry(at, id, std::move(fn))) in.fail();
+    max_id = std::max(max_id, id);
+  };
   ss.counters.activities = in.u64();
   ss.counters.holds = in.u64();
   ss.counters.denials = in.u64();
@@ -584,9 +565,11 @@ void rebuild_merged(std::optional<detect::graph::EntityGraph>& merged, const Wor
   ss.counters.expiries = in.u64();
   ss.counters.graph_events = in.u64();
 
-  World* wp = &w;
-  ss.holds.assign(in.u64(), HoldRec{});
-  for (std::uint64_t i = 0; i < ss.holds.size(); ++i) {
+  const std::uint64_t hold_count = in.count(1 + 4 + 4 * 8);
+  if (hold_count > kMaxHoldsPerShard) in.fail();
+  ss.holds.assign(in.ok() ? hold_count : 0, HoldRec{});
+  std::uint64_t live = 0;
+  for (std::uint64_t i = 0; i < ss.holds.size() && in.ok(); ++i) {
     HoldRec& h = ss.holds[i];
     h.live = in.boolean();
     h.gen = in.u32();
@@ -594,30 +577,56 @@ void rebuild_merged(std::optional<detect::graph::EntityGraph>& merged, const Wor
     h.flight = in.u64();
     h.expiry_event = in.u64();
     h.expiry_at = in.i64();
-    if (h.live) {
-      const std::uint64_t packed = pack_expiry(k, i);
-      engine.shard(k).queue().restore_entry(h.expiry_at, h.expiry_event,
-                                            [wp, packed] { on_expiry(wp, packed); });
+    if (!h.live) continue;
+    // A live hold sits on a flight this shard owns, for a user that exists.
+    if (h.user >= w.users.size() || h.flight >= w.flights.size() ||
+        w.transport->flight_shard(h.flight) != k) {
+      in.fail();
     }
+    ++live;
+    const std::uint64_t packed = pack_expiry(k, i);
+    restore_event(h.expiry_at, h.expiry_event, [wp, packed] { on_expiry(wp, packed); });
   }
-  ss.free_holds.assign(in.u64(), 0);
-  for (std::uint32_t& idx : ss.free_holds) idx = in.u32();
+  // The free list is exactly the dead slots, each once: alloc_hold hands out
+  // its back, so a live or repeated entry would give one slot to two holds.
+  const std::uint64_t free_count = in.count(4);
+  if (free_count != ss.holds.size() - live) in.fail();
+  ss.free_holds.assign(in.ok() ? free_count : 0, 0);
+  std::vector<bool> freed(ss.holds.size(), false);
+  for (std::uint32_t& idx : ss.free_holds) {
+    idx = in.u32();
+    if (!in.ok() || idx >= ss.holds.size() || ss.holds[idx].live || freed[idx]) {
+      in.fail();
+      return;
+    }
+    freed[idx] = true;
+  }
 
   ss.pending_pays.clear();
-  const std::uint64_t pending_pays = in.u64();
-  for (std::uint64_t i = 0; i < pending_pays; ++i) {
+  const std::uint64_t pay_count = in.count(3 * 8);
+  for (std::uint64_t i = 0; i < pay_count && in.ok(); ++i) {
     const std::uint64_t packed = in.u64();
-    const std::uint64_t id = in.u64();
+    const sim::EventId id = in.u64();
     const sim::SimTime at = in.i64();
-    engine.shard(k).queue().restore_entry(at, id,
-                                          [wp, packed] { on_pay_decision(wp, packed); });
-    ss.pending_pays.emplace(packed, std::make_pair(id, at));
+    // A decision fires on its user's shard — this one — and names a flight
+    // shard that exists; restore_world checks its hold index.
+    if ((packed >> 52) != k || ((packed >> 40) & 0xFFF) >= w.shards.size() ||
+        !ss.pending_pays.emplace(packed, std::make_pair(id, at)).second) {
+      in.fail();
+    }
+    restore_event(at, id, [wp, packed] { on_pay_decision(wp, packed); });
   }
 
-  const std::uint64_t owned_users = in.u64();
-  for (std::uint64_t i = 0; i < owned_users; ++i) {
+  // Owned users and flights arrive in strictly increasing id order, so none
+  // repeats within a shard, and ownership keeps them apart across shards.
+  const std::uint64_t user_count = in.count(4 * 8 + 3 * 4);
+  for (std::uint64_t i = 0, prev = 0; i < user_count && in.ok(); ++i) {
     const std::uint64_t u = in.u64();
-    if (u >= w.users.size()) return false;
+    if (u >= w.users.size() || w.transport->user_shard(u) != k || (i > 0 && u <= prev)) {
+      in.fail();
+      return;
+    }
+    prev = u;
     UserState& s = w.users[u];
     s.draws = in.u64();
     s.pending_event = in.u64();
@@ -626,21 +635,73 @@ void rebuild_merged(std::optional<detect::graph::EntityGraph>& merged, const Wor
     s.denials = in.u32();
     s.pays = in.u32();
     if (s.pending_event != 0) {
-      engine.shard(k).queue().restore_entry(s.pending_at, s.pending_event,
-                                            [wp, u] { on_activity(wp, u); });
+      restore_event(s.pending_at, s.pending_event, [wp, u] { on_activity(wp, u); });
     }
   }
-  const std::uint64_t owned_flights = in.u64();
-  for (std::uint64_t i = 0; i < owned_flights; ++i) {
+  const std::uint64_t flight_count = in.count(8 + 2 * 4);
+  for (std::uint64_t i = 0, prev = 0; i < flight_count && in.ok(); ++i) {
     const std::uint64_t f = in.u64();
-    if (f >= w.flights.size()) return false;
+    if (f >= w.flights.size() || w.transport->flight_shard(f) != k || (i > 0 && f <= prev)) {
+      in.fail();
+      return;
+    }
+    prev = f;
     w.flights[f].held = in.u32();
     w.flights[f].paid = in.u32();
   }
+  seen += user_count + flight_count;
 
   ss.graph.restore(in);
-  engine.shard(k).queue().set_next_id(in.u64());
-  return in.ok();
+  const sim::EventId next_id = in.u64();
+  if (next_id <= max_id) in.fail();
+  queue.set_next_id(next_id);
+}
+
+// Decodes a Checkpoint frame into a freshly built world and engine. On false
+// both are half-restored and must be discarded.
+[[nodiscard]] bool restore_world(World& w, sim::ShardedSimulation& engine,
+                                 const journal::Record& frame) {
+  util::ByteReader in(frame.fields);
+  engine.restore(in);
+  const sim::SimTime now = engine.now();
+  const sim::SimDuration epoch = std::max<sim::SimDuration>(w.cfg->epoch, 1);
+  // Restore points are cut only at barriers before the horizon, and barrier
+  // b sits at b * epoch.
+  if (!in.ok() || now != frame.time || now <= 0 || now >= w.cfg->horizon || now % epoch != 0 ||
+      engine.barriers_run() != static_cast<std::uint64_t>(now / epoch)) {
+    return false;
+  }
+  std::uint64_t seen = 0;
+  for (std::uint32_t k = 0; k < engine.shards() && in.ok(); ++k) {
+    restore_shard(w, engine, k, in, seen);
+  }
+  // Every user and flight restored once, and nothing after the last shard.
+  if (!in.exhausted() || seen != w.users.size() + w.flights.size()) return false;
+  for (const auto& shard : w.shards) {
+    for (const auto& [packed, ev] : shard->pending_pays) {
+      if (((packed >> 20) & 0xFFFFF) >= w.shards[(packed >> 40) & 0xFFF]->holds.size()) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+// The newest Checkpoint frame of this config's journal at `path`. The reader
+// drops a torn tail; a missing journal, mid-file corruption, another
+// seed/config or no Checkpoint frame all mean there is nothing to resume.
+[[nodiscard]] std::optional<journal::Record> newest_checkpoint(const std::string& path,
+                                                               const ScaleConfig& cfg) {
+  journal::JournalReader reader;
+  if (!reader.open(path).is_ok() || reader.seed() != cfg.seed ||
+      reader.config_digest() != cfg.digest()) {
+    return std::nullopt;
+  }
+  const auto& records = reader.records();
+  for (auto it = records.rbegin(); it != records.rend(); ++it) {
+    if (it->kind == journal::RecordKind::Checkpoint) return *it;
+  }
+  return std::nullopt;
 }
 
 // --- Artifacts ---------------------------------------------------------------
@@ -672,8 +733,27 @@ struct EngineTotals {
   std::vector<std::array<std::uint64_t, 3>> per_shard;
 };
 
+// One line per violation. Not render_report(): that report embeds the
+// lifetime check counter, which a resumed run (whose registry only saw
+// post-resume barriers) could not reproduce byte-for-byte.
+[[nodiscard]] std::string render_violations(const std::vector<invariant::Violation>& violations) {
+  if (violations.empty()) return "all invariants held\n";
+  std::string out = std::to_string(violations.size()) + " invariant violation(s):\n";
+  for (const auto& v : violations) out += "  " + v.render() + "\n";
+  return out;
+}
+
+// The result of a config that breaks a closure-packing limit: nothing ran.
+[[nodiscard]] ScaleArtifacts refuse(std::string why) {
+  ScaleArtifacts art;
+  const std::vector<invariant::Violation> violations{{"scale-packing-limits", std::move(why), 0}};
+  art.invariant_violations = violations.size();
+  art.invariant_report = render_violations(violations);
+  art.report = art.invariant_report;
+  return art;
+}
+
 [[nodiscard]] ScaleArtifacts build_artifacts(const World& w, const EngineTotals& totals,
-                                             const detect::graph::EntityGraph& merged,
                                              const invariant::InvariantRegistry& registry) {
   ScaleArtifacts art;
   ShardCounters sum;
@@ -701,18 +781,7 @@ struct EngineTotals {
   art.graph_events = sum.graph_events;
   art.state_digest = state_digest(w, totals.sent, totals.delivered);
   art.invariant_violations = registry.violations().size();
-  // Rendered from the violation list, not render_report(): that report embeds
-  // the lifetime check counter, which a resumed run (whose registry only saw
-  // post-resume barriers) could not reproduce byte-for-byte.
-  if (registry.clean()) {
-    art.invariant_report = "all invariants held\n";
-  } else {
-    art.invariant_report = std::to_string(registry.violations().size()) +
-                           " invariant violation(s):\n";
-    for (const auto& v : registry.violations()) {
-      art.invariant_report += "  " + v.render() + "\n";
-    }
-  }
+  art.invariant_report = render_violations(registry.violations());
 
   // Shards CSV: one row per shard. Serial runs emit their single row as
   // "shard 0" — byte-identical to the K=1 sharded run by construction.
@@ -732,7 +801,11 @@ struct EngineTotals {
   }
   art.shards_csv = std::move(csv);
 
-  // Graph CSV from the merged, canonically-partitioned graph.
+  // Graph CSV from the per-shard graphs merged at the horizon (the final
+  // barrier) via the canonical partition, which makes the components a pure
+  // function of the merged edge set, whatever the shard merge order.
+  detect::graph::EntityGraph merged(scale_graph_config(*w.cfg));
+  for (const auto& shard : w.shards) merged.merge_from(shard->graph, w.cfg->horizon);
   const detect::graph::GraphDetector detector(merged, {});
   std::string gcsv = "component,size,sessions,bookings,sharing,signal_mass,score,flagged\n";
   for (const auto& v : detector.scored_components(w.cfg->horizon)) {
@@ -801,7 +874,7 @@ ScaleArtifacts run_scale_serial(const ScaleConfig& cfg) {
   w.cfg = &cfg;
   w.transport = &transport;
   w.shards.push_back(std::make_unique<ShardState>(scale_graph_config(cfg)));
-  init_static(w);
+  if (auto overflow = init_static(w)) return refuse(*overflow);
   init_schedule(w);
 
   invariant::InvariantRegistry registry;
@@ -819,8 +892,6 @@ ScaleArtifacts run_scale_serial(const ScaleConfig& cfg) {
                  return std::nullopt;
                });
 
-  std::optional<detect::graph::EntityGraph> merged;
-  merged.emplace(scale_graph_config(cfg));
   std::uint64_t barriers = 0;
   sim::SimTime t = 0;
   while (t < cfg.horizon) {
@@ -828,7 +899,6 @@ ScaleArtifacts run_scale_serial(const ScaleConfig& cfg) {
                                                         cfg.horizon);
     s.run_before(barrier);
     apply_graph_ops(w);
-    rebuild_merged(merged, w, barrier);
     registry.check_all(barrier);
     t = barrier;
     ++barriers;
@@ -838,13 +908,17 @@ ScaleArtifacts run_scale_serial(const ScaleConfig& cfg) {
   totals.fired = s.fired_events();
   totals.barriers = barriers;
   totals.per_shard.push_back({s.fired_events(), 0, 0});
-  return build_artifacts(w, totals, *merged, registry);
+  return build_artifacts(w, totals, registry);
 }
 
 namespace {
 
 // Shared core of run_scale_sharded / resume_scale_sharded.
 ScaleArtifacts run_sharded_impl(const ScaleConfig& cfg, bool try_resume) {
+  if (cfg.shards > kMaxShards) {
+    return refuse("shards=" + std::to_string(cfg.shards) + " is over the " +
+                  std::to_string(kMaxShards) + "-shard packing limit");
+  }
   sim::ShardedSimulation::Config ecfg;
   ecfg.shards = std::max<std::uint32_t>(cfg.shards, 1);
   ecfg.epoch = std::max<sim::SimDuration>(cfg.epoch, 1);
@@ -858,7 +932,7 @@ ScaleArtifacts run_sharded_impl(const ScaleConfig& cfg, bool try_resume) {
   for (std::uint32_t k = 0; k < engine.shards(); ++k) {
     w.shards.push_back(std::make_unique<ShardState>(scale_graph_config(cfg)));
   }
-  init_static(w);
+  if (auto overflow = init_static(w)) return refuse(*overflow);
 
   World* wp = &w;
   engine.set_message_handler(
@@ -870,87 +944,47 @@ ScaleArtifacts run_sharded_impl(const ScaleConfig& cfg, bool try_resume) {
   invariant::InvariantRegistry registry;
   invariant::register_shard_invariants(registry, engine);
 
-  // Resume: newest barrier index whose checkpoint EVERY shard can prove
-  // intact via its own manifest. Shard-local recovery — one shard's torn
-  // write only rolls the fleet back to the last epoch all shards committed.
-  std::uint64_t resumed_index = 0;
-  bool resumed = false;
+  // Resume from the journal's newest Checkpoint frame. A frame that passed its
+  // CRC but does not decode has half-restored this world and engine, so both
+  // are dropped for a fresh run.
+  const std::string journal_path =
+      (std::filesystem::path(cfg.out_dir) / recover::kJournalFilename).string();
+  std::optional<journal::Record> anchor;
   if (try_resume && !cfg.out_dir.empty()) {
-    std::set<std::uint64_t> common;
-    bool first = true;
-    for (std::uint32_t k = 0; k < engine.shards() && (first || !common.empty()); ++k) {
-      const std::string dir = shard_dir(cfg, k);
-      std::set<std::uint64_t> intact;
-      if (auto manifest = recover::Manifest::load(dir + "/" + recover::kManifestFilename);
-          manifest.has_value() && manifest.value().seed == cfg.seed &&
-          manifest.value().config_digest == cfg.digest()) {
-        const auto audit = recover::audit_artifacts(manifest.value(), dir);
-        for (const std::string& rel : audit.intact) {
-          std::uint64_t idx = 0;
-          if (parse_checkpoint_name(rel, idx)) intact.insert(idx);
-        }
-      }
-      if (first) {
-        common = std::move(intact);
-        first = false;
-      } else {
-        std::set<std::uint64_t> merged_set;
-        std::set_intersection(common.begin(), common.end(), intact.begin(), intact.end(),
-                              std::inserter(merged_set, merged_set.begin()));
-        common = std::move(merged_set);
-      }
-    }
-    if (!common.empty()) {
-      const std::uint64_t idx = *common.rbegin();
-      bool ok = true;
-      for (std::uint32_t k = 0; k < engine.shards() && ok; ++k) {
-        std::ifstream file(shard_dir(cfg, k) + "/" + checkpoint_name(idx), std::ios::binary);
-        std::string blob((std::istreambuf_iterator<char>(file)),
-                         std::istreambuf_iterator<char>());
-        ok = file.good() && restore_shard(w, engine, k, blob, idx);
-      }
-      if (ok) {
-        resumed = true;
-        resumed_index = idx;
-      } else {
-        // A blob failed to parse despite an intact manifest — start clean.
-        for (std::uint32_t k = 0; k < engine.shards(); ++k) {
-          w.shards[k] = std::make_unique<ShardState>(scale_graph_config(cfg));
-        }
-        init_static(w);
-      }
-    }
+    anchor = newest_checkpoint(journal_path, cfg);
+    if (anchor && !restore_world(w, engine, *anchor)) return run_sharded_impl(cfg, false);
   }
-  if (!resumed) init_schedule(w);
+  if (!anchor) init_schedule(w);
 
-  std::optional<detect::graph::EntityGraph> merged;
-  merged.emplace(scale_graph_config(cfg));
-  std::uint64_t barrier_index = resumed ? resumed_index : 0;
-  // Per-shard manifests accumulate every checkpoint this process writes.
-  std::vector<recover::Manifest> manifests(engine.shards());
-  for (auto& m : manifests) {
-    m.seed = cfg.seed;
-    m.config_digest = cfg.digest();
+  journal::JournalWriter journal;
+  std::string journal_error;  // the first failed write; later ones only echo it
+  const auto note = [&journal_error](const util::Status& s) {
+    if (!s.is_ok() && journal_error.empty()) journal_error = s.error();
+  };
+  if (cfg.checkpoint_every > 0 && !cfg.out_dir.empty()) {
+    // A failed write costs restore points, never results: the run goes on,
+    // and every later barrier reports the failure as a violation.
+    registry.add("checkpoint-journal", [&journal_error](sim::SimTime) {
+      return journal_error.empty() ? std::nullopt : std::optional<std::string>(journal_error);
+    });
+    std::error_code ec;
+    std::filesystem::create_directories(cfg.out_dir, ec);
+    note(journal.open(journal_path, cfg.seed, cfg.digest()));
+    // A resumed run's journal starts with its anchor, so a kill at any later
+    // point still leaves a restore point at least that new.
+    if (anchor && journal.is_open()) {
+      util::ByteWriter fields;
+      fields.raw(anchor->fields);
+      note(journal.append(journal::RecordKind::Checkpoint, anchor->time, fields));
+    }
   }
 
   engine.add_barrier_hook([&](sim::SimTime barrier) {
     apply_graph_ops(w);
-    rebuild_merged(merged, w, barrier);
     registry.check_all(barrier);
-    ++barrier_index;
-    if (cfg.checkpoint_every > 0 && !cfg.out_dir.empty() &&
-        barrier_index % cfg.checkpoint_every == 0 && barrier < cfg.horizon) {
-      for (std::uint32_t k = 0; k < engine.shards(); ++k) {
-        const std::string dir = shard_dir(cfg, k);
-        std::filesystem::create_directories(dir);
-        const std::string rel = checkpoint_name(barrier_index);
-        const std::string blob = checkpoint_shard(w, engine, k, barrier_index);
-        if (auto written = recover::AtomicFile::write(dir + "/" + rel, blob, barrier);
-            written.has_value()) {
-          manifests[k].add(written.value(), rel);
-          (void)manifests[k].write(dir, barrier);
-        }
-      }
+    if (journal.is_open() && engine.barriers_run() % cfg.checkpoint_every == 0 &&
+        barrier < cfg.horizon) {
+      note(journal.append(journal::RecordKind::Checkpoint, barrier, checkpoint_world(w, engine)));
     }
   });
 
@@ -961,7 +995,7 @@ ScaleArtifacts run_sharded_impl(const ScaleConfig& cfg, bool try_resume) {
   totals.sent = engine.messages_sent();
   totals.delivered = engine.messages_delivered();
   totals.retries = engine.exchange_retries();
-  totals.barriers = barrier_index;
+  totals.barriers = engine.barriers_run();
   for (std::uint32_t k = 0; k < engine.shards(); ++k) {
     totals.per_shard.push_back({engine.shard(k).fired_events(), 0, 0});
   }
@@ -972,7 +1006,7 @@ ScaleArtifacts run_sharded_impl(const ScaleConfig& cfg, bool try_resume) {
     totals.per_shard[0][1] = totals.sent;
     totals.per_shard[0][2] = totals.delivered;
   }
-  return build_artifacts(w, totals, *merged, registry);
+  return build_artifacts(w, totals, registry);
 }
 
 }  // namespace

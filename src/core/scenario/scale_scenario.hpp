@@ -17,7 +17,7 @@
 // Determinism contract (CI-enforced):
 //   * K=1 artifacts are byte-identical to the serial runner's;
 //   * fixed-K artifacts are byte-identical across 1/2/N worker threads;
-//   * a run resumed from per-shard checkpoints is byte-identical to an
+//   * a run resumed from its checkpoints is byte-identical to an
 //     uninterrupted one.
 //
 // Per-user randomness is stateless — every behavioural decision is a
@@ -26,11 +26,12 @@
 // are spent only at init (fare assignment in global flight order).
 //
 // Each shard keeps a private entity graph fed by its own (sampled) hold/pay
-// stream; graphs are merged at epoch barriers via the canonical partition
-// (EntityGraph::merge_from) and the merged graph is scored for organized
-// rings at the end of the run. Per-shard journal checkpoints (atomic files +
-// per-shard CRC'd manifests) make recovery shard-local: resume restarts from
-// the newest epoch EVERY shard can prove intact.
+// stream; at the end of the run the graphs are merged via the canonical
+// partition (EntityGraph::merge_from) and the merged graph is scored for
+// organized rings. Checkpoints take the same path as a recorded run's: each
+// is one CRC-framed Checkpoint frame in the run's journal
+// (<out_dir>/run.journal) holding the engine and every shard at one barrier,
+// and resume restarts from the newest intact frame.
 #pragma once
 
 #include <cstdint>
@@ -60,11 +61,11 @@ struct ScaleConfig {
   std::uint32_t shards = 1;
   unsigned threads = 1;
 
-  // Per-shard checkpointing: every N barriers (0 = off). Requires out_dir.
+  // Checkpoint every N barriers (0 = off) into <out_dir>/run.journal.
   std::uint32_t checkpoint_every = 0;
   std::string out_dir;
 
-  // Stable digest over every behaviour-relevant field (manifest binding).
+  // Stable digest over every behaviour-relevant field (journal binding).
   [[nodiscard]] std::uint64_t digest() const;
 };
 
@@ -99,14 +100,17 @@ struct ScaleArtifacts {
 [[nodiscard]] ScaleArtifacts run_scale_serial(const ScaleConfig& cfg);
 
 // Sharded runner. With cfg.checkpoint_every > 0 and a non-empty out_dir,
-// writes per-shard checkpoints under <out_dir>/shards/shard-NNN/ (atomic
-// files listed in a per-shard MANIFEST.fsm).
+// appends one Checkpoint frame per checkpoint barrier to <out_dir>/run.journal
+// (a failed write is reported as a violation). Both runners refuse a config
+// past the closure-packing limits — over 4096 shards, or over 2^20 seats on
+// one shard — running nothing and reporting the limit as a violation.
 [[nodiscard]] ScaleArtifacts run_scale_sharded(const ScaleConfig& cfg);
 
-// Resumes from the newest epoch whose checkpoint every shard can prove
-// intact (per-shard manifest audit), then runs to the horizon. Artifacts are
+// Resumes from the newest intact Checkpoint frame of <out_dir>/run.journal
+// (a torn tail is dropped), then runs to the horizon. Artifacts are
 // byte-identical to an uninterrupted run_scale_sharded with the same config.
-// Falls back to a fresh run when no common intact epoch exists.
+// No journal, mid-file corruption, another seed/config, no Checkpoint frame
+// or a newest frame that does not decode all mean a fresh run.
 [[nodiscard]] ScaleArtifacts resume_scale_sharded(const ScaleConfig& cfg);
 
 }  // namespace fraudsim::scenario

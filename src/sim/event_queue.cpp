@@ -14,12 +14,12 @@ EventId EventQueue::schedule(SimTime at, EventFn fn) {
   return id;
 }
 
-void EventQueue::restore_entry(SimTime at, EventId id, EventFn fn) {
-  assert(!pending_.contains(id));
+bool EventQueue::restore_entry(SimTime at, EventId id, EventFn fn) {
+  if (id == 0 || !pending_.insert(id).second) return false;
   heap_.push_back(Entry{at, id, std::move(fn)});
   std::push_heap(heap_.begin(), heap_.end(), Later{});
-  pending_.insert(id);
   if (id >= next_id_) next_id_ = id + 1;
+  return true;
 }
 
 bool EventQueue::cancel(EventId id) {

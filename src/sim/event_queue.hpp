@@ -41,8 +41,9 @@ class EventQueue {
   // checkpoint owners persist their own descriptors and re-register them on
   // restore under their ORIGINAL ids — preserving the FIFO tiebreak order a
   // continuous run would have used — then restore the id counter so future
-  // handles continue the exact sequence. Pre: `id` is not already pending.
-  void restore_entry(SimTime at, EventId id, EventFn fn);
+  // handles continue the exact sequence. Refuses (false, nothing queued) an
+  // id that was never issued (0) or is already pending.
+  [[nodiscard]] bool restore_entry(SimTime at, EventId id, EventFn fn);
   [[nodiscard]] EventId next_id() const { return next_id_; }
   void set_next_id(EventId id) { next_id_ = id; }
 

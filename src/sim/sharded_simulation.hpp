@@ -133,7 +133,8 @@ class ShardedSimulation {
   // Must be called at a barrier (outboxes empty — asserted). Shard event
   // queues are workload state: owners persist their own event descriptors and
   // re-register them after restore() via Simulation::queue().restore_entry.
-  // restore() parks every shard clock at the checkpointed barrier time.
+  // restore() parks every shard clock at the checkpointed barrier time; a blob
+  // written by an engine with a different K fails `in` and restores nothing.
   void checkpoint(util::ByteWriter& out) const;
   void restore(util::ByteReader& in);
 

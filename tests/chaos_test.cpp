@@ -15,6 +15,7 @@
 #include "core/fault/fault.hpp"
 #include "core/scenario/replay_harness.hpp"
 #include "util/archive.hpp"
+#include "util/hash.hpp"
 
 namespace fraudsim {
 namespace {
@@ -168,6 +169,53 @@ TEST_F(ChaosTest, ReproFileRoundTripsAndDetectsCorruption) {
   const auto corrupt = chaos::read_chaos_repro(path);
   EXPECT_FALSE(corrupt.has_value());
   EXPECT_EQ(corrupt.code(), util::ErrorCode::kJournalCorrupt);
+}
+
+TEST_F(ChaosTest, ReproDecoderRejectsHostilePayloadsBehindAValidCrc) {
+  // A CRC only proves the file is what was written; these payloads are
+  // framed correctly and must still be refused, without allocating for the
+  // count they claim.
+  chaos::ChaosSchedule one;
+  one.seed = 5;
+  one.entries.push_back(error_entry("x", fault::FaultScenario::always()));
+  const std::string good = schedule_bytes(one);
+  // Schedule layout: u64 seed, u64 entry count, then per entry u8 kind,
+  // str point (u32 length + bytes), and the fault scenario's u8 kind, u8
+  // fault, ...
+  struct Case {
+    const char* name;
+    std::size_t at;
+    std::uint64_t value;
+    int bytes;
+  };
+  const std::vector<Case> cases = {
+      {"entry count of 2^40", 8, std::uint64_t{1} << 40, 8},
+      {"entry kind past FlashCrowd", 16, 2, 1},
+      {"scenario kind past Burst", 16 + 1 + 4 + 1, 7, 1},
+      {"fault kind past kLatency", 16 + 1 + 4 + 1 + 1, 3, 1},
+  };
+  const std::string path = (dir_ / "hostile.fsc").string();
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    std::string schedule = good;
+    for (int i = 0; i < c.bytes; ++i) {
+      schedule[c.at + i] = static_cast<char>((c.value >> (8 * i)) & 0xFF);
+    }
+    util::ByteWriter payload;
+    payload.raw("FSC1");
+    payload.u64(31337);
+    payload.raw(schedule);
+    util::ByteWriter file;
+    file.raw(payload.bytes());
+    file.u32(util::crc32(payload.bytes()));
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out << file.bytes();
+    }
+    const auto loaded = chaos::read_chaos_repro(path);
+    EXPECT_FALSE(loaded.has_value());
+    EXPECT_EQ(loaded.code(), util::ErrorCode::kJournalCorrupt);
+  }
 }
 
 // --- Registry state across checkpoints ---------------------------------------

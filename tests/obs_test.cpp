@@ -8,6 +8,7 @@
 #include "core/obs/metrics.hpp"
 #include "core/obs/obs.hpp"
 #include "core/obs/trace.hpp"
+#include "util/archive.hpp"
 
 namespace fraudsim::obs {
 namespace {
@@ -160,6 +161,55 @@ TEST(Histogram, OverflowBucketPercentileStaysWithinObservedRange) {
 }
 
 // --- Snapshot exports -------------------------------------------------------
+
+TEST(MetricsRegistry, RestoreRejectsHostileCells) {
+  // One-cell registry blob: the name, then the given kind byte, counter,
+  // gauge, `bounds` bounds, `buckets` buckets and the histogram scalars.
+  const auto blob = [](std::uint64_t cells, const char* name, std::uint8_t kind,
+                       std::uint64_t bounds, std::uint64_t buckets) {
+    util::ByteWriter out;
+    out.u64(cells);
+    out.str(name);
+    out.u8(kind);
+    out.u64(0);
+    out.f64(0.0);
+    out.u64(bounds);
+    for (std::uint64_t i = 0; i < bounds; ++i) out.f64(static_cast<double>(i + 1));
+    out.u64(buckets);
+    for (std::uint64_t i = 0; i < buckets; ++i) out.u64(0);
+    out.u64(0);
+    out.f64(0.0);
+    out.f64(0.0);
+    out.f64(0.0);
+    return out.take();
+  };
+  const auto histogram = static_cast<std::uint8_t>(obs::MetricKind::Histogram);
+  const auto gauge = static_cast<std::uint8_t>(obs::MetricKind::Gauge);
+  struct Case {
+    const char* name;
+    std::string bytes;
+    bool ok;
+  };
+  const std::vector<Case> cases = {
+      {"a complete histogram layout", blob(1, "h", histogram, 3, 4), true},
+      {"cell count of 2^40", blob(std::uint64_t{1} << 40, "h", histogram, 3, 4), false},
+      {"kind byte past Histogram", blob(1, "g", 3, 0, 0), false},
+      {"kind other than the registered one", blob(1, "h", gauge, 0, 0), false},
+      {"one bucket short of the bounds", blob(1, "h", histogram, 3, 3), false},
+      {"a gauge with a bucket layout", blob(1, "g", gauge, 0, 1), false},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    obs::MetricsRegistry registry;
+    const auto h = registry.histogram("h", {1, 2, 3});
+    util::ByteReader in(c.bytes);
+    registry.restore(in);
+    EXPECT_EQ(in.ok(), c.ok);
+    // The handle stays usable either way: a rejected cell is left as it was.
+    h.observe(10.0);
+    EXPECT_EQ(h.count(), 1u);
+  }
+}
 
 TEST(MetricsSnapshot, RowsAreSortedByName) {
   MetricsRegistry registry;

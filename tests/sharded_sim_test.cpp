@@ -156,6 +156,20 @@ TEST(ShardedSim, AlwaysFaultCannotWedgeABarrier) {
   EXPECT_EQ(eng.messages_in_flight(), 0u);
 }
 
+TEST(ShardedSim, RestoreRejectsABlobFromAnotherShardCount) {
+  sim::ShardedSimulation eng(config(2, sim::minutes(10)));
+  eng.run_until(sim::minutes(20));
+  util::ByteWriter out;
+  eng.checkpoint(out);
+
+  sim::ShardedSimulation other(config(3, sim::minutes(10)));
+  util::ByteReader in(out.bytes());
+  other.restore(in);
+  EXPECT_FALSE(in.ok());
+  EXPECT_EQ(other.now(), 0);
+  EXPECT_EQ(other.barriers_run(), 0u);
+}
+
 TEST(ShardedSim, CheckpointRestoreRoundTripsAccounting) {
   sim::ShardedSimulation eng(config(2, sim::minutes(10)));
   eng.set_message_handler([](std::uint32_t, const sim::ShardMessage&) {});

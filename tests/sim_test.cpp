@@ -408,9 +408,12 @@ TEST(EventQueue, RestoreEntryReproducesOrderAndIdSequence) {
   // Rebuild in scrambled order, as a restore iterating workload state might.
   EventQueue restored;
   for (int i : {3, 0, 5, 2, 4, 1}) {
-    restored.restore_entry(100, static_cast<EventId>(i + 1),
-                           [&fired, i] { fired.push_back(i); });
+    EXPECT_TRUE(restored.restore_entry(100, static_cast<EventId>(i + 1),
+                                       [&fired, i] { fired.push_back(i); }));
   }
+  // An id already pending, or one never issued, is refused.
+  EXPECT_FALSE(restored.restore_entry(100, 4, [] {}));
+  EXPECT_FALSE(restored.restore_entry(100, 0, [] {}));
   restored.set_next_id(next);
   EXPECT_EQ(restored.next_id(), next);
   EXPECT_EQ(restored.pending(), 6u);
